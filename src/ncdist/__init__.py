@@ -32,7 +32,6 @@ from .errors import (
     MasterEquationViolated,
     ModuliOutOfRange,
     NcdistError,
-    NoConvergence,
     NonHermitian,
     NotAState,
     OutOfChamber,
@@ -76,7 +75,6 @@ __all__ = [
     "MetricConvention",
     "ModuliOutOfRange",
     "NcdistError",
-    "NoConvergence",
     "NonHermitian",
     "NotAState",
     "OutOfChamber",

@@ -4,8 +4,9 @@ Subcommands: `kernel` (construct/validate kernel spectra), `indicator`
 (nonclassicality distance of a state file), `scan` (chamber grid to CSV),
 `polytope` (positivity polytope as JSON) and `sample-min` (Monte-Carlo
 check of the analytic floor). Every command prints one JSON object, except
-`scan`, which writes one CSV file. Exit codes: 0 success, 2 invalid input,
-3 projection failed to converge.
+`scan`, which writes one CSV file. `indicator` computes the distance by the
+exact projection of `distance_general`, which for qutrits agrees with the
+closed form the scan uses. Exit codes: 0 success, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .core import SQRT3, MetricConvention, QutritChart, Spectrum, spectrum_from_matrix
 from .distance import distance_general, qutrit_distance
-from .errors import NcdistError, NoConvergence
+from .errors import NcdistError
 from .geometry import positivity_polytope
 from .kernel import KernelSpectrum, kernel_from_spectrum, qutrit_kernel, random_kernel
 from .wigner import sampled_min, wigner_floor
@@ -33,17 +33,6 @@ def _fmt(x: float) -> str:
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
-
-
-def _thread_cap() -> int:
-    """Worker cap from NC_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("NC_THREADS", "").strip()
-    if not raw:
-        return 0
-    cap = int(raw)
-    if cap < 0:
-        raise ValueError("NC_THREADS must be >= 0")
-    return cap
 
 
 def _zeta_value(args) -> float | None:
@@ -152,7 +141,6 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.resolution <= 10_000:
         raise ValueError("resolution must be between 2 and 10000")
     convention = MetricConvention(args.convention)
-    _thread_cap()  # validated; the closed form keeps the scan fast single-threaded
     res = args.resolution
     lines = ["xi3,xi8,region,distance"]
     for j in range(res):
@@ -264,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (NcdistError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,8 +26,8 @@ class Spectrum:
     """Density-matrix eigenvalues as a non-increasing probability vector.
 
     Input values may arrive in any order; they are sorted non-increasing on
-    construction. Each value must lie in [0, 1] and the total must equal 1,
-    both within 1e-12.
+    construction. Each value must be finite and lie in [0, 1], and the total
+    must equal 1, both within 1e-12.
     """
 
     values: tuple[float, ...]
@@ -36,6 +36,8 @@ class Spectrum:
         vals = tuple(sorted((float(v) for v in self.values), reverse=True))
         if len(vals) < 2:
             raise DimensionMismatch("spectrum dimension must be at least 2")
+        if not all(map(math.isfinite, vals)):
+            raise NotAState(f"eigenvalues must be finite: {vals}")
         if vals[0] > 1.0 + VALUE_TOL or vals[-1] < -VALUE_TOL:
             raise NotAState(f"eigenvalues outside [0, 1]: {vals}")
         total = math.fsum(vals)

@@ -37,17 +37,5 @@ class MasterEquationViolated(NcdistError):
         )
 
 
-class NoConvergence(NcdistError):
-    """Iterative projection hit its cycle cap with residual above tolerance."""
-
-    def __init__(self, residual: float, cycles: int):
-        self.residual = residual
-        self.cycles = cycles
-        super().__init__(
-            f"projection did not converge after {cycles} cycles "
-            f"(constraint residual {residual:.3e})"
-        )
-
-
 class InfeasibleModel(NcdistError):
     """Exhaustive active-set search produced no feasible candidate."""

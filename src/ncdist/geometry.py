@@ -48,16 +48,15 @@ class Hyperplane:
 
     The normal is the kernel spectrum in increasing order, so evaluating
     the functional on a decreasing spectrum reproduces the floor pairing.
-    The offset is always zero.
+    The hyperplane passes through the origin.
     """
 
     normal: tuple[float, ...]
-    offset: float = 0.0
 
     def value(self, r: Spectrum) -> float:
         if r.n != len(self.normal):
             raise DimensionMismatch(f"spectrum n={r.n} vs normal n={len(self.normal)}")
-        return math.fsum(a * b for a, b in zip(r.values, self.normal)) - self.offset
+        return math.fsum(a * b for a, b in zip(r.values, self.normal))
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class QutritAnchors:
 
 def hyperplane(kernel: KernelSpectrum) -> Hyperplane:
     """Separating hyperplane of a kernel: normal = kernel sorted increasing."""
-    return Hyperplane(normal=kernel.values[::-1], offset=0.0)
+    return Hyperplane(normal=kernel.values[::-1])
 
 
 def positivity_polytope(kernel: KernelSpectrum) -> Polytope:

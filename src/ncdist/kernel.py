@@ -25,24 +25,23 @@ SQUARE_TOL = 1e-8
 class KernelSpectrum:
     """Eigenvalues of a Stratonovich-Weyl kernel, sorted non-increasing.
 
-    A valid kernel spectrum satisfies sum(pi) = 1 and sum(pi^2) = n; both
-    residuals are checked on construction and reported together on failure.
+    A valid kernel spectrum is finite and satisfies sum(pi) = 1 and
+    sum(pi^2) = n; both residuals are checked on construction and reported
+    together on failure, as NaN for non-finite values.
     """
 
     values: tuple[float, ...]
 
     def __post_init__(self):
         vals = tuple(sorted((float(v) for v in self.values), reverse=True))
-        n = len(vals)
-        if n < 2:
+        if len(vals) < 2:
             raise DimensionMismatch("kernel dimension must be at least 2")
-        res_trace = abs(math.fsum(vals) - 1.0)
-        res_square = abs(math.fsum(v * v for v in vals) - n)
+        if not all(map(math.isfinite, vals)):
+            raise MasterEquationViolated(math.nan, math.nan)
+        object.__setattr__(self, "values", vals)
+        res_trace, res_square = self.residuals()
         if res_trace > TRACE_TOL or res_square > SQUARE_TOL:
             raise MasterEquationViolated(res_trace, res_square)
-        # spread around the mean 1/n is forced by the trace conditions
-        assert vals[0] > 1.0 / n > vals[-1]
-        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:

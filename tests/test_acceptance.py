@@ -58,10 +58,10 @@ def test_criterion_1_closed_form_vs_projector():
         d_general = distance_general(spectrum_from_chart(c), qutrit_kernel(z)).distance_paper
         worst = max(worst, abs(d_closed - d_general))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and elapsed < 10.0
-    report(1, "closed form vs projector on 1e4 pairs", ok,
+    ok = worst <= 1e-12 and elapsed < 10.0
+    report(1, "closed form vs exact projector on 1e4 pairs", ok,
            f"worst gap {worst:.2e}, {elapsed:.1f}s")
-    assert worst <= 1e-8
+    assert worst <= 1e-12
     assert elapsed < 10.0
 
 
@@ -72,13 +72,13 @@ def test_criterion_2_oracle_equivalence():
         for _ in range(1000):
             r = random_spectrum(rng, n)
             k = random_kernel(n, int(rng.integers(0, 1 << 30)))
-            p_dyk = project_to_classical(r, k)
+            p_proj = project_to_classical(r, k)
             p_kkt = bruteforce_project(r, k)
-            d_dyk = math.dist(r.values, p_dyk.values)
+            d_proj = math.dist(r.values, p_proj.values)
             d_kkt = math.dist(r.values, p_kkt.values)
-            worst = max(worst, abs(d_dyk - d_kkt))
-    ok = worst <= 1e-8
-    report(2, "Dykstra vs exhaustive KKT on 4x1e3 pairs", ok, f"worst gap {worst:.2e}")
+            worst = max(worst, abs(d_proj - d_kkt))
+    ok = worst <= 1e-12
+    report(2, "exact projector vs exhaustive KKT on 4x1e3 pairs", ok, f"worst gap {worst:.2e}")
     assert ok
 
 

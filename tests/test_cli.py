@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from ncdist.cli import main
 
 SQRT3 = math.sqrt(3.0)
 PI_THIRD = "1.0471975511965976"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -212,10 +214,9 @@ class TestScanCommand:
             if float(xi8) <= 0.25:
                 assert region == "OQR"
 
-    def test_byte_identical_across_runs_and_thread_env(self, capsys, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "scan", "--zeta", "0.3", "--resolution", "20", "--output", str(a))
-        monkeypatch.setenv("NC_THREADS", "3")
         run_cli(capsys, "scan", "--zeta", "0.3", "--resolution", "20", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
@@ -336,3 +337,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pi"] == [1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_non_finite_input_exits_two(tmp_path, flags):
+    """NaN fails every comparison, so it needs its own check; the check must
+    not be an assert, which -O strips."""
+    state = write_state(tmp_path, "nan.json", {"n": 4, "spectrum": [math.nan, 0.5, 0.25, 0.25]})
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in (
+        ["kernel", "--n", "3", "--pi", "nan,nan,nan"],
+        ["indicator", "--state", state, "--seed", "3"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "ncdist", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")

@@ -40,6 +40,11 @@ class TestSpectrum:
         with pytest.raises(DimensionMismatch):
             Spectrum((1.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotAState):
+            Spectrum((bad, 0.5, 0.5))
+
     def test_tolerates_rounding_noise(self):
         s = Spectrum((1.0 - 1e-13, 1e-13, -1e-14))
         assert s.n == 3

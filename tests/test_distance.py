@@ -6,7 +6,6 @@ import pytest
 from conftest import random_chamber_chart, random_spectrum
 from ncdist import (
     MetricConvention,
-    NoConvergence,
     OutOfChamber,
     QutritChart,
     Region,
@@ -14,7 +13,9 @@ from ncdist import (
     bruteforce_project,
     chart_from_spectrum,
     distance_general,
+    is_classical,
     kernel_from_spectrum,
+    project_simplex,
     project_to_classical,
     qutrit_distance,
     qutrit_kernel,
@@ -22,7 +23,7 @@ from ncdist import (
     spectrum_from_chart,
     wigner_floor,
 )
-from ncdist.distance import _dykstra
+from ncdist.distance import _project_cut
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -110,17 +111,42 @@ class TestProjectToClassical:
             r = random_spectrum(rng, n)
             k = random_kernel(n, int(rng.integers(0, 1 << 30)))
             x = project_to_classical(r, k)
-            assert wigner_floor(x, k) >= -1e-9
+            assert is_classical(x, k)
             assert all(a >= b for a, b in zip(x.values, x.values[1:]))
 
-    def test_raises_with_tiny_cycle_cap(self):
-        with pytest.raises(NoConvergence):
-            project_to_classical(
-                Spectrum((1.0, 0.0, 0.0)), qutrit_kernel(0.0), max_cycles=1
-            )
+    def test_step_cap_up_to_n_64(self, monkeypatch):
+        """Bounded work and an exactly classical result on hard valid
+        input: degenerate qutrit kernels, near-pure, pure and flat spectra.
+        Steps are counted as project_simplex calls, one per step."""
+        step_cap = 12  # documented in _project_cut
+        calls = []
+        monkeypatch.setattr(
+            "ncdist.distance.project_simplex", lambda v: calls.append(1) or project_simplex(v)
+        )
+        rng = np.random.default_rng(61)
+        worst = 0
+        for n in (2, 3, 4, 5, 8, 16, 32, 64):
+            for i in range(60):
+                if n == 3 and i % 3 == 0:
+                    k = qutrit_kernel((0.0, ZETA_MAX)[i % 2])
+                else:
+                    k = random_kernel(n, int(rng.integers(0, 1 << 30)))
+                if i % 6 == 5:
+                    m = int(rng.integers(1, n + 1))  # pure for m = 1, flat otherwise
+                    r = Spectrum((1.0 / m,) * m + (0.0,) * (n - m))
+                else:
+                    alpha = (1.0, 0.05, 0.01)[i % 3]
+                    r = Spectrum(tuple(float(v) for v in rng.dirichlet(np.full(n, alpha))))
+                if wigner_floor(r, k) >= 0.0:
+                    continue
+                calls.clear()
+                x = project_to_classical(r, k)
+                worst = max(worst, len(calls))
+                assert is_classical(x, k)
+        assert 0 < worst <= step_cap
 
-    def test_dykstra_loop_agrees_with_closed_form_without_shortcuts(self):
-        """Exercise the raw iteration on band points, bypassing the
+    def test_projector_agrees_with_closed_form_without_shortcuts(self):
+        """Exercise the raw multiplier search on band points, bypassing the
         classical fast return."""
         rng = np.random.default_rng(54)
         checked = 0
@@ -133,8 +159,8 @@ class TestProjectToClassical:
             checked += 1
             r = spectrum_from_chart(c)
             k = qutrit_kernel(z)
-            x = _dykstra(r.values, k.values[::-1], 1e-12, 100_000)
-            assert x == pytest.approx(closed.nearest.values, abs=1e-9)
+            x = _project_cut(r.values, k.values[::-1])
+            assert x == pytest.approx(closed.nearest.values, abs=1e-12)
 
 
 class TestBruteforceProject:
@@ -218,7 +244,7 @@ class TestDistanceGeneral:
             r = random_spectrum(rng, n)
             k = random_kernel(n, int(rng.integers(0, 1 << 30)))
             res = distance_general(r, k)
-            assert wigner_floor(res.nearest, k) >= -1e-9
+            assert is_classical(res.nearest, k)
 
     def test_one_lipschitz(self):
         rng = np.random.default_rng(59)

@@ -32,7 +32,6 @@ class TestHyperplane:
     def test_normal_is_reversed_kernel(self):
         h = hyperplane(kernel_from_spectrum((1.0, 1.0, -1.0), 3))
         assert h.normal == (-1.0, 1.0, 1.0)
-        assert h.offset == 0.0
 
     def test_evaluation_equals_floor_exactly(self):
         k = kernel_from_spectrum((1.0, 1.0, -1.0), 3)

@@ -72,6 +72,14 @@ class TestKernelFromSpectrum:
         assert err.value.residual_trace == pytest.approx(0.0, abs=1e-15)
         assert err.value.residual_square == pytest.approx(2.5, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "values",
+        [(math.nan,) * 3, (math.nan, 1.0, -1.0), (math.inf, 1.0, -1.0), (math.inf, -math.inf, 1.0)],
+    )
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(MasterEquationViolated):
+            kernel_from_spectrum(values, 3)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kernel_from_spectrum((1.0, 1.0, -1.0), 4)

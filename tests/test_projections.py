@@ -1,4 +1,4 @@
-"""Unit tests for the three building-block projections used by Dykstra."""
+"""Unit tests for the three building-block projections."""
 
 import math
 
