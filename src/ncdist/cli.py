@@ -4,9 +4,11 @@ Subcommands: `kernel` (construct/validate kernel spectra), `indicator`
 (nonclassicality distance of a state file), `scan` (chamber grid to CSV),
 `polytope` (positivity polytope as JSON) and `sample-min` (Monte-Carlo
 check of the analytic floor). Every command prints one JSON object, except
-`scan`, which writes one CSV file. `indicator` computes the distance by the
-exact projection of `distance_general`, which for qutrits agrees with the
-closed form the scan uses. Exit codes: 0 success, 2 invalid input.
+`scan`, which streams one CSV file row by row. `indicator` computes the
+distance by the exact projection of `distance_general`. `scan` validates
+zeta once and calls the qutrit closed form (`_cut_projection`) directly on
+each chamber grid point; for qutrits the two agree. Exit codes: 0 success,
+2 invalid input.
 """
 
 from __future__ import annotations
@@ -18,11 +20,18 @@ import sys
 
 import numpy as np
 
-from .core import SQRT3, MetricConvention, QutritChart, Spectrum, spectrum_from_matrix
-from .distance import distance_general, qutrit_distance
+from .core import (
+    SQRT3,
+    MetricConvention,
+    QutritChart,
+    Spectrum,
+    conversion_factor,
+    spectrum_from_matrix,
+)
+from .distance import distance_general
 from .errors import NcdistError
-from .geometry import positivity_polytope
-from .kernel import KernelSpectrum, kernel_from_spectrum, qutrit_kernel, random_kernel
+from .geometry import _cut_projection, positivity_polytope
+from .kernel import KernelSpectrum, check_zeta, kernel_from_spectrum, qutrit_kernel, random_kernel
 from .wigner import sampled_min, wigner_floor
 
 
@@ -120,7 +129,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_indicator(args) -> int:
     spectrum, _ = _load_state(args.state)
     kernel = _kernel_from_args(args, spectrum.n)
-    result = distance_general(spectrum, kernel, MetricConvention(args.convention))
+    result = distance_general(spectrum, kernel)
     _emit(
         {
             "w": result.floor,
@@ -138,27 +147,23 @@ def _cmd_scan(args) -> int:
     zeta = _zeta_value(args)
     if zeta is None:
         raise ValueError("scan needs --zeta or --zeta-degrees")
+    zeta = check_zeta(zeta)
     if not 2 <= args.resolution <= 10_000:
         raise ValueError("resolution must be between 2 and 10000")
-    convention = MetricConvention(args.convention)
+    paper = MetricConvention(args.convention) is MetricConvention.PAPER
+    divisor = 1.0 if paper else conversion_factor(3)
     res = args.resolution
-    lines = ["xi3,xi8,region,distance"]
-    for j in range(res):
-        xi8 = 0.5 * j / (res - 1)
-        for i in range(res):
-            xi3 = (SQRT3 / 2.0) * i / (res - 1)
-            point = QutritChart(xi3, xi8)
-            if not point.in_chamber():
-                continue
-            result = qutrit_distance(point, zeta)
-            d = (
-                result.distance_paper
-                if convention is MetricConvention.PAPER
-                else result.distance_frobenius
-            )
-            lines.append(f"{_fmt(xi3)},{_fmt(xi8)},{result.region.value},{_fmt(d)}")
     with open(args.output, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("xi3,xi8,region,distance\n")
+        for j in range(res):
+            xi8 = 0.5 * j / (res - 1)
+            for i in range(res):
+                xi3 = (SQRT3 / 2.0) * i / (res - 1)
+                point = QutritChart(xi3, xi8)
+                if not point.in_chamber():
+                    continue
+                region, _, d, _ = _cut_projection(point, zeta)
+                fh.write(f"{_fmt(xi3)},{_fmt(xi8)},{region.value},{_fmt(d / divisor)}\n")
     return 0
 
 
@@ -210,11 +215,6 @@ def _parser() -> argparse.ArgumentParser:
     p_ind = sub.add_parser("indicator", help="nonclassicality distance of a state")
     p_ind.add_argument("--state", type=str, required=True, help="state JSON file")
     _add_kernel_options(p_ind)
-    p_ind.add_argument(
-        "--convention",
-        choices=[m.value for m in MetricConvention],
-        default=MetricConvention.PAPER.value,
-    )
     p_ind.set_defaults(func=_cmd_indicator)
 
     p_scan = sub.add_parser("scan", help="grid scan of the qutrit chamber to CSV")

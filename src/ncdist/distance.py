@@ -12,7 +12,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    MetricConvention,
     QutritChart,
     Spectrum,
     chart_from_spectrum,
@@ -21,7 +20,7 @@ from .core import (
     spectrum_from_chart,
 )
 from .errors import DimensionMismatch, InfeasibleModel
-from .geometry import Region, _cut_projection, classify_region
+from .geometry import Region, _cut_projection
 from .kernel import KernelSpectrum, check_zeta, zeta_from_kernel
 from .wigner import CLASSICAL_TOL, wigner_floor
 
@@ -41,15 +40,7 @@ class IndicatorResult:
     nearest: Spectrum
     floor: float
     classical: bool
-    convention: MetricConvention = MetricConvention.PAPER
     nearest_chart: QutritChart | None = None
-
-    @property
-    def distance(self) -> float:
-        """Distance in the requested convention."""
-        if self.convention is MetricConvention.PAPER:
-            return self.distance_paper
-        return self.distance_frobenius
 
 
 def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
@@ -227,16 +218,13 @@ def project_to_classical(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
     return Spectrum(tuple(_project_cut(r.values, kernel.values[::-1])))
 
 
-def distance_general(
-    r: Spectrum,
-    kernel: KernelSpectrum,
-    convention: MetricConvention = MetricConvention.PAPER,
-) -> IndicatorResult:
+def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
     """Nonclassicality distance of a state in any dimension.
 
     Classical states (floor >= -1e-12) report distance zero and themselves
     as nearest point; everything else is projected onto the positivity
-    polytope. Agrees with :func:`qutrit_distance` for n = 3.
+    polytope. Agrees with :func:`qutrit_distance` for n = 3, whose closed
+    form labels the region of a nonclassical qutrit.
     """
     if r.n != kernel.n:
         raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
@@ -254,7 +242,7 @@ def distance_general(
     nearest_chart = None
     if r.n == 3:
         zeta = zeta_from_kernel(kernel)
-        region = Region.OQR if classical else classify_region(chart_from_spectrum(r), zeta)
+        region = Region.OQR if classical else _cut_projection(chart_from_spectrum(r), zeta)[0]
         nearest_chart = chart_from_spectrum(nearest)
     return IndicatorResult(
         distance_paper=d_frob * conversion_factor(r.n),
@@ -263,7 +251,6 @@ def distance_general(
         nearest=nearest,
         floor=floor,
         classical=classical,
-        convention=convention,
         nearest_chart=nearest_chart,
     )
 
@@ -306,7 +293,7 @@ def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
         x = target - c.T @ nu
         if abs(float(ones @ x) - 1.0) > 1e-9:
             continue
-        if float(np.min(rows @ x)) < -1e-9:
+        if float(np.min(rows @ x)) < -1e-12:
             continue
         d2 = float(np.sum((x - target) ** 2))
         if d2 < best_d2:

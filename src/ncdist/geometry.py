@@ -180,8 +180,11 @@ def _cut_projection(
     """Region of a chamber point plus its nearest point on the classical set.
 
     Returns (region, nearest chart point, chart-plane distance, line
-    coordinate p). The cut line is p = 1/4 with p the projection of the
-    chart point onto the direction (cos(zeta + pi/6), sin(zeta + pi/6)).
+    coordinate p) for a validated zeta. In the frame of the cut line, with
+    p along (cos a, sin a), s along (-sin a, cos a) and a = zeta + pi/6,
+    the classical boundary is the segment RQ of the line p = 1/4, from
+    s_R = -tan(zeta)/4 to s_Q = tan(pi/3 - zeta)/4. The distance is 0 for
+    p <= 1/4 and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) otherwise.
     Boundary ties resolve to OQR on the line, AQT at Q and BRS at R.
     """
     ang = zeta + math.pi / 6.0
@@ -190,20 +193,17 @@ def _cut_projection(
     if p <= 0.25 + OQR_TOL:
         return Region.OQR, (c.xi3, c.xi8), 0.0, p
 
-    excess = p - 0.25
-    foot = (c.xi3 - excess * cos_a, c.xi8 - excess * sin_a)
-    anchors = qutrit_anchor_points(zeta)
-    q = (anchors.Q.xi3, anchors.Q.xi8)
-    r = (anchors.R.xi3, anchors.R.xi8)
-    # coordinate along the cut line; Q sits on the positive side of R
-    s_foot = -foot[0] * sin_a + foot[1] * cos_a
-    s_q = -q[0] * sin_a + q[1] * cos_a
-    s_r = -r[0] * sin_a + r[1] * cos_a
-    if s_foot >= s_q - _TIE_TOL:
-        return Region.AQT, q, math.hypot(c.xi3 - q[0], c.xi8 - q[1]), p
-    if s_foot <= s_r + _TIE_TOL:
-        return Region.BRS, r, math.hypot(c.xi3 - r[0], c.xi8 - r[1]), p
-    return Region.QRST, foot, excess, p
+    s = c.xi8 * cos_a - c.xi3 * sin_a
+    s_q = 0.25 * math.tan(math.pi / 3.0 - zeta)
+    s_r = -0.25 * math.tan(zeta)
+    if s >= s_q - _TIE_TOL:
+        region, s_near = Region.AQT, s_q
+    elif s <= s_r + _TIE_TOL:
+        region, s_near = Region.BRS, s_r
+    else:
+        region, s_near = Region.QRST, s
+    nearest = (0.25 * cos_a - s_near * sin_a, 0.25 * sin_a + s_near * cos_a)
+    return region, nearest, math.hypot(p - 0.25, s - s_near), p
 
 
 def classify_region(c: QutritChart, zeta: float) -> Region:

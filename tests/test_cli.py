@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from ncdist import haar_unitary
-from ncdist.cli import main
+from ncdist import QutritChart, haar_unitary, qutrit_distance
+from ncdist.cli import _fmt, main
 
 SQRT3 = math.sqrt(3.0)
 PI_THIRD = "1.0471975511965976"
@@ -135,6 +135,14 @@ class TestIndicatorCommand:
         data = json.loads(out)
         assert data["distance_paper"] == pytest.approx(0.3, abs=1e-8)
 
+    def test_chamber_edge_spectrum(self, capsys, tmp_path):
+        state = write_state(
+            tmp_path, "edge.json", {"n": 3, "spectrum": [0.5 + 1e-12, 0.5, -1e-12]}
+        )
+        code, out, _ = run_cli(capsys, "indicator", "--state", state, "--zeta", "0")
+        assert code == 0
+        assert json.loads(out)["distance_paper"] <= 1e-11
+
     def test_general_dimension_has_null_region(self, capsys, tmp_path):
         state = write_state(
             tmp_path, "n4.json", {"n": 4, "spectrum": [0.9, 0.1, 0.0, 0.0]}
@@ -248,6 +256,34 @@ class TestScanCommand:
         )
         assert code == 2
         assert "resolution" in err
+
+    @pytest.mark.parametrize("convention", ["paper", "frobenius"])
+    def test_rows_match_closed_form(self, capsys, tmp_path, convention):
+        out_path = tmp_path / "scan.csv"
+        code, _, _ = run_cli(
+            capsys, "scan", "--zeta", "0.7", "--resolution", "60",
+            "--convention", convention, "--output", str(out_path),
+        )
+        assert code == 0
+        expected = ["xi3,xi8,region,distance"]
+        for j in range(60):
+            for i in range(60):
+                c = QutritChart((SQRT3 / 2.0) * i / 59, 0.5 * j / 59)
+                if c.in_chamber():
+                    res = qutrit_distance(c, 0.7)
+                    d = res.distance_paper if convention == "paper" else res.distance_frobenius
+                    expected.append(f"{_fmt(c.xi3)},{_fmt(c.xi8)},{res.region.value},{_fmt(d)}")
+        assert len(expected) == 1 + 60 * 61 // 2
+        assert out_path.read_text().splitlines() == expected
+
+    def test_invalid_zeta_leaves_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "scan", "--zeta", "2", "--resolution", "5", "--output", str(out_path)
+        )
+        assert code == 2
+        assert "zeta" in err
+        assert not out_path.exists()
 
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import random_chamber_chart, random_spectrum
 from ncdist import (
-    MetricConvention,
     OutOfChamber,
     QutritChart,
     Region,
@@ -17,6 +16,7 @@ from ncdist import (
     kernel_from_spectrum,
     project_simplex,
     project_to_classical,
+    qutrit_anchor_points,
     qutrit_distance,
     qutrit_kernel,
     random_kernel,
@@ -24,6 +24,7 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.distance import _project_cut
+from ncdist.geometry import _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -84,6 +85,23 @@ class TestQutritDistance:
     def test_rejects_out_of_chamber(self):
         with pytest.raises(OutOfChamber):
             qutrit_distance(QutritChart(0.5, 0.1), 0.2)
+
+    def test_segment_ends_are_the_anchor_points(self):
+        """Beyond the band the nearest point is the segment end Q or R that
+        qutrit_anchor_points builds independently."""
+        rng = np.random.default_rng(62)
+        seen = set()
+        for _ in range(4000):
+            c = random_chamber_chart(rng)
+            z = float(rng.random()) * ZETA_MAX
+            region, nearest, _, _ = _cut_projection(c, z)
+            anchors = qutrit_anchor_points(z)
+            end = {Region.AQT: anchors.Q, Region.BRS: anchors.R}.get(region)
+            if end is None:
+                continue
+            seen.add(region)
+            assert nearest == pytest.approx((end.xi3, end.xi8), abs=1e-15)
+        assert seen == {Region.AQT, Region.BRS}
 
 
 class TestProjectToClassical:
@@ -170,18 +188,27 @@ class TestBruteforceProject:
             r.values, abs=1e-12
         )
 
-    def test_matches_dykstra_on_band_example(self):
+    def test_matches_projector_on_band_example(self):
         r = Spectrum((0.7, 0.2, 0.1))
         k = qutrit_kernel(0.0)
         assert bruteforce_project(r, k).values == pytest.approx(
             project_to_classical(r, k).values, abs=1e-10
         )
 
-    def test_matches_dykstra_on_pure_state(self):
+    def test_matches_projector_on_pure_state(self):
         r = Spectrum((1.0, 0.0, 0.0))
         k = qutrit_kernel(ZETA_MAX)
         assert bruteforce_project(r, k).values == pytest.approx(
             project_to_classical(r, k).values, abs=1e-10
+        )
+
+    def test_matches_projector_at_nearly_degenerate_kernel(self):
+        """Near zeta = 0 the active-set solve is nearly singular; the
+        inequality slack must not admit an infeasible, closer candidate."""
+        r = Spectrum((0.9127848, 0.0436076, 0.0436076))
+        k = qutrit_kernel(1e-9)
+        assert bruteforce_project(r, k).values == pytest.approx(
+            project_to_classical(r, k).values, abs=1e-14
         )
 
     def test_oracle_equivalence_across_dimensions(self):
@@ -210,13 +237,22 @@ class TestDistanceGeneral:
 
     def test_pure_qubit_state(self):
         k = kernel_from_spectrum(((1 + SQRT3) / 2, (1 - SQRT3) / 2), 2)
-        res = distance_general(Spectrum((1.0, 0.0)), k, MetricConvention.FROBENIUS)
+        res = distance_general(Spectrum((1.0, 0.0)), k)
         expected = math.sqrt(2.0) * (3 - SQRT3) / 6  # gap to the tangent state
         assert res.distance_frobenius == pytest.approx(expected, abs=1e-9)
         assert res.distance_frobenius > 0
         brute = bruteforce_project(Spectrum((1.0, 0.0)), k)
         assert res.nearest.values == pytest.approx(brute.values, abs=1e-8)
-        assert res.distance is res.distance_frobenius
+
+    @pytest.mark.parametrize("zeta", [0.0, math.pi / 6.0, ZETA_MAX])
+    def test_chamber_edge_spectrum(self, zeta):
+        """A valid spectrum whose chart point sits just past the chamber
+        edge (within the Spectrum tolerance) gets a distance and a label."""
+        r = Spectrum((0.5 + 1e-12, 0.5, -1e-12))
+        res = distance_general(r, qutrit_kernel(zeta))
+        corner = qutrit_distance(QutritChart(0.0, 0.5), zeta)  # the state (1/2, 1/2, 0)
+        assert res.distance_paper == pytest.approx(corner.distance_paper, abs=1e-11)
+        assert res.region is not None
 
     def test_agrees_with_closed_form(self):
         rng = np.random.default_rng(56)
