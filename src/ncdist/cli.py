@@ -6,9 +6,9 @@ Subcommands: `kernel` (construct/validate kernel spectra), `indicator`
 check of the analytic floor). Every command prints one JSON object, except
 `scan`, which streams one CSV file row by row. `indicator` computes the
 distance by the exact projection of `distance_general`. `scan` validates
-zeta once and calls the qutrit closed form (`_cut_projection`) directly on
-each chamber grid point; for qutrits the two agree. Exit codes: 0 success,
-2 invalid input.
+zeta once and evaluates the qutrit closed form (`_cut_projection`) once per
+grid row, on arrays, keeping the row's chamber prefix; for qutrits the two
+agree. Exit codes: 0 success, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ import numpy as np
 from .core import (
     SQRT3,
     MetricConvention,
-    QutritChart,
     Spectrum,
+    chamber_mask,
     conversion_factor,
     spectrum_from_matrix,
 )
 from .distance import distance_general
 from .errors import NcdistError
-from .geometry import _cut_projection, positivity_polytope
+from .geometry import REGIONS, _cut_projection, positivity_polytope
 from .kernel import KernelSpectrum, check_zeta, kernel_from_spectrum, qutrit_kernel, random_kernel
 from .wigner import sampled_min, wigner_floor
 
@@ -153,17 +153,22 @@ def _cmd_scan(args) -> int:
     paper = MetricConvention(args.convention) is MetricConvention.PAPER
     divisor = 1.0 if paper else conversion_factor(3)
     res = args.resolution
+    # every row is evaluated on the whole xi3 grid, so its arrays keep one
+    # length; the chamber keeps a prefix of each row, as xi3 increases
+    xi3 = (SQRT3 / 2.0) * np.arange(res) / (res - 1)
+    xi3_text = [_fmt(x) for x in xi3.tolist()]
     with open(args.output, "w", encoding="ascii", newline="\n") as fh:
         fh.write("xi3,xi8,region,distance\n")
         for j in range(res):
             xi8 = 0.5 * j / (res - 1)
-            for i in range(res):
-                xi3 = (SQRT3 / 2.0) * i / (res - 1)
-                point = QutritChart(xi3, xi8)
-                if not point.in_chamber():
-                    continue
-                region, _, d, _ = _cut_projection(point, zeta)
-                fh.write(f"{_fmt(xi3)},{_fmt(xi8)},{region.value},{_fmt(d / divisor)}\n")
+            keep = int(np.count_nonzero(chamber_mask(xi3, xi8)))
+            code, _, d, _ = _cut_projection(xi3, xi8, zeta)
+            middle = [f",{_fmt(xi8)},{region.value}," for region in REGIONS]
+            dist = (d[:keep] / divisor + 0.0).tolist()
+            fh.write("".join([
+                f"{x}{middle[c]}{v:.12g}\n"
+                for x, c, v in zip(xi3_text, code[:keep].tolist(), dist)
+            ]))
     return 0
 
 

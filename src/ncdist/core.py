@@ -70,14 +70,21 @@ class QutritChart:
         object.__setattr__(self, "xi8", float(self.xi8))
 
     def in_chamber(self, tol: float = CHAMBER_TOL) -> bool:
-        return (
-            self.xi3 >= -tol
-            and self.xi8 >= self.xi3 / SQRT3 - tol
-            and self.xi8 <= 0.5 + tol
-        )
+        return bool(chamber_mask(self.xi3, self.xi8, tol))
 
     def norm(self) -> float:
         return math.hypot(self.xi3, self.xi8)
+
+
+def chamber_mask(xi3, xi8, tol: float = CHAMBER_TOL):
+    """Chamber membership of chart points, for floats or arrays of one shape.
+
+    xi3 >= 0 and xi8 >= xi3 / sqrt(3) read r1 >= r2 and r2 >= r3, within
+    tol. The upper bound reads r3 >= -tol and is computed as
+    :func:`chart_from_spectrum` computes xi8 = (1 - 3 r3) / 2, so the chart
+    of every spectrum Spectrum admits (r3 >= -1e-12) passes it.
+    """
+    return (xi3 >= -tol) & (xi8 >= xi3 / SQRT3 - tol) & (xi8 <= (1.0 + 3.0 * tol) / 2.0)
 
 
 def require_chamber(c: QutritChart, tol: float = CHAMBER_TOL) -> None:
@@ -167,10 +174,12 @@ def spectrum_from_chart(c: QutritChart) -> Spectrum:
 
     r1 = 1/3 + xi3/sqrt(3) + xi8/3, r2 = 1/3 - xi3/sqrt(3) + xi8/3 and
     r3 = 1/3 - 2 xi8/3. Raises OutOfChamber when the point violates the
-    chamber inequalities beyond 1e-12.
+    chamber inequalities beyond 1e-12. On the chamber's upper edge, the
+    chart of r3 = -1e-12, rounding can return r3 just below -1e-12; it is
+    held at -1e-12 there.
     """
     require_chamber(c)
     r1 = 1.0 / 3.0 + c.xi3 / SQRT3 + c.xi8 / 3.0
     r2 = 1.0 / 3.0 - c.xi3 / SQRT3 + c.xi8 / 3.0
-    r3 = 1.0 / 3.0 - 2.0 * c.xi8 / 3.0
+    r3 = max(1.0 / 3.0 - 2.0 * c.xi8 / 3.0, -CHAMBER_TOL)
     return Spectrum((r1, r2, r3))

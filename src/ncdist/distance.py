@@ -20,7 +20,7 @@ from .core import (
     spectrum_from_chart,
 )
 from .errors import DimensionMismatch, InfeasibleModel
-from .geometry import Region, _cut_projection
+from .geometry import REGIONS, Region, _cut_projection
 from .kernel import KernelSpectrum, check_zeta, zeta_from_kernel
 from .wigner import CLASSICAL_TOL, wigner_floor
 
@@ -53,7 +53,8 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     """
     z = check_zeta(zeta)
     require_chamber(c)
-    region, nearest_xy, d_paper, p = _cut_projection(c, z)
+    code, nearest_xy, d_paper, p = _cut_projection(c.xi3, c.xi8, z)
+    region = REGIONS[code]
     floor = 1.0 / 3.0 - (4.0 / 3.0) * p
     classical = region is Region.OQR
     nearest_chart = c if classical else QutritChart(*nearest_xy)
@@ -234,15 +235,18 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
         nearest = r
         d_frob = 0.0
     else:
-        nearest = project_to_classical(r, kernel)
+        nearest = Spectrum(tuple(_project_cut(r.values, kernel.values[::-1])))
         d_frob = math.sqrt(
             math.fsum((a - b) ** 2 for a, b in zip(r.values, nearest.values))
         )
     region = None
     nearest_chart = None
     if r.n == 3:
-        zeta = zeta_from_kernel(kernel)
-        region = Region.OQR if classical else _cut_projection(chart_from_spectrum(r), zeta)[0]
+        if classical:
+            region = Region.OQR
+        else:
+            c = chart_from_spectrum(r)
+            region = REGIONS[_cut_projection(c.xi3, c.xi8, zeta_from_kernel(kernel))[0]]
         nearest_chart = chart_from_spectrum(nearest)
     return IndicatorResult(
         distance_paper=d_frob * conversion_factor(r.n),
@@ -259,8 +263,11 @@ def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
     """Exhaustive active-set projection onto the positivity polytope.
 
     Enumerates every subset of the inequality constraints as a candidate
-    active set, solves the equality-constrained least-squares system by
-    KKT elimination and keeps the feasible candidate closest to the input.
+    active set and solves the equality-constrained least-squares system by
+    KKT elimination. Among the feasible candidates it keeps a KKT point,
+    one whose active-inequality multipliers are non-negative to 1e-12, and
+    breaks ties between them by the distance to the input; a candidate
+    with a negative multiplier is kept only when no KKT point is found.
     Exact up to linear-solve rounding; an independent check for
     :func:`project_to_classical` at small n.
     """
@@ -278,7 +285,7 @@ def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
     ones = np.ones(n)
 
     best = None
-    best_d2 = math.inf
+    best_key = (True, math.inf)
     for mask in range(1 << (n + 1)):
         active = [k for k in range(n + 1) if mask >> k & 1]
         c = np.vstack([ones[None, :], rows[active]])
@@ -295,9 +302,12 @@ def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
             continue
         if float(np.min(rows @ x)) < -1e-12:
             continue
-        d2 = float(np.sum((x - target) ** 2))
-        if d2 < best_d2:
-            best_d2 = d2
+        # x = target + sum of mu_k rows_k over the active rows, mu = -nu[1:]:
+        # a KKT point has mu >= 0; a feasible candidate with a negative
+        # multiplier loses to any KKT candidate, however close it lies
+        key = (bool(np.any(nu[1:] > 1e-12)), float(np.sum((x - target) ** 2)))
+        if key < best_key:
+            best_key = key
             best = x
     if best is None:
         raise InfeasibleModel("no feasible active set found")

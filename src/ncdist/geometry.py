@@ -42,6 +42,10 @@ class Region(Enum):
     BRS = "BRS"  # nearest classical point is R
 
 
+#: regions by the code `_cut_projection` returns
+REGIONS = (Region.OQR, Region.AQT, Region.QRST, Region.BRS)
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Zero level of the Wigner floor over the ordered simplex.
@@ -174,40 +178,77 @@ def qutrit_anchor_points(zeta: float) -> QutritAnchors:
     )
 
 
-def _cut_projection(
-    c: QutritChart, zeta: float
-) -> tuple[Region, tuple[float, float], float, float]:
-    """Region of a chamber point plus its nearest point on the classical set.
+def _square(x):
+    """x * x as an exact sum hi + lo (Veltkamp split); floats or arrays."""
+    c = 134217729.0 * x  # 2**27 + 1
+    top = c - (c - x)
+    rest = x - top
+    xx = x * x
+    return xx, ((top * top - xx) + 2.0 * top * rest) + rest * rest
 
-    Returns (region, nearest chart point, chart-plane distance, line
-    coordinate p) for a validated zeta. In the frame of the cut line, with
-    p along (cos a, sin a), s along (-sin a, cos a) and a = zeta + pi/6,
-    the classical boundary is the segment RQ of the line p = 1/4, from
+
+def _hypot(x, y):
+    """Correctly rounded sqrt(x^2 + y^2) for floats or arrays of one shape,
+    with |x| and |y| zero or in [1e-150, 1e150].
+
+    np.hypot is one ulp off on about 0.6 % of inputs, which can move the
+    12th printed digit of a scan; math.hypot takes no arrays. One Newton
+    step from h = sqrt(x*x + y*y) on the residual x^2 + y^2 - h^2, summed
+    from exact products, matches math.hypot bit for bit (the tests compare
+    them). h = 0 only where x = y = 0, and there the step adds 0/1.
+    """
+    xx, ex = _square(x)
+    yy, ey = _square(y)
+    s = xx + yy
+    b = s - xx
+    h = s**0.5
+    hh, eh = _square(h)
+    # s - hh is exact (Sterbenz): h*h is within a few ulps of s
+    resid = (s - hh) + ((((xx - (s - b)) + (yy - b)) + ex + ey) - eh)
+    return h + resid / (2.0 * h + (h == 0.0))
+
+
+def _cut_projection(xi3, xi8, zeta: float):
+    """Region code, nearest classical point, chart-plane distance and line
+    coordinate p of chamber points, for a validated zeta.
+
+    xi3 and xi8 are floats or float arrays of one shape, and the results
+    `(code, (nearest_xi3, nearest_xi8), d_paper, p)` have that shape;
+    `code` indexes REGIONS. In the frame of the cut line, with p along
+    (cos a, sin a), s along (-sin a, cos a) and a = zeta + pi/6, the
+    classical boundary is the segment RQ of the line p = 1/4, from
     s_R = -tan(zeta)/4 to s_Q = tan(pi/3 - zeta)/4. The distance is 0 for
     p <= 1/4 and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) otherwise.
     Boundary ties resolve to OQR on the line, AQT at Q and BRS at R.
+
+    The pieces are selected by multiplying with the 0/1 masks `inside`,
+    `beyond`, `aqt`, `brs` and `band` (comparison results, one of aqt, brs
+    and band true at each point), not by branching. Multiplying a finite
+    float by 0 or 1 and adding 0 is exact, so the same operations serve
+    Python floats and arrays and give bit-identical results for both.
     """
     ang = zeta + math.pi / 6.0
     cos_a, sin_a = math.cos(ang), math.sin(ang)
-    p = c.xi3 * cos_a + c.xi8 * sin_a
-    if p <= 0.25 + OQR_TOL:
-        return Region.OQR, (c.xi3, c.xi8), 0.0, p
-
-    s = c.xi8 * cos_a - c.xi3 * sin_a
     s_q = 0.25 * math.tan(math.pi / 3.0 - zeta)
     s_r = -0.25 * math.tan(zeta)
-    if s >= s_q - _TIE_TOL:
-        region, s_near = Region.AQT, s_q
-    elif s <= s_r + _TIE_TOL:
-        region, s_near = Region.BRS, s_r
-    else:
-        region, s_near = Region.QRST, s
-    nearest = (0.25 * cos_a - s_near * sin_a, 0.25 * sin_a + s_near * cos_a)
-    return region, nearest, math.hypot(p - 0.25, s - s_near), p
+    p = xi3 * cos_a + xi8 * sin_a
+    s = xi8 * cos_a - xi3 * sin_a
+    inside = p <= 0.25 + OQR_TOL
+    beyond = p > 0.25 + OQR_TOL
+    aqt = s >= s_q - _TIE_TOL
+    brs = s <= s_r + _TIE_TOL
+    band = (s < s_q - _TIE_TOL) & (s > s_r + _TIE_TOL)
+    s_near = aqt * s_q + brs * s_r + band * s
+    code = beyond * (aqt + 3 * brs + 2 * band)
+    nearest = (
+        beyond * (0.25 * cos_a - s_near * sin_a) + inside * xi3,
+        beyond * (0.25 * sin_a + s_near * cos_a) + inside * xi8,
+    )
+    return code, nearest, beyond * _hypot(p - 0.25, s - s_near), p
 
 
 def classify_region(c: QutritChart, zeta: float) -> Region:
     """Which piece of the chamber decomposition a chart point falls in."""
     z = check_zeta(zeta)
     require_chamber(c)
-    return _cut_projection(c, z)[0]
+    return REGIONS[_cut_projection(c.xi3, c.xi8, z)[0]]

@@ -258,22 +258,24 @@ class TestScanCommand:
         assert "resolution" in err
 
     @pytest.mark.parametrize("convention", ["paper", "frobenius"])
-    def test_rows_match_closed_form(self, capsys, tmp_path, convention):
+    @pytest.mark.parametrize("res", [2, 60, 201])
+    def test_rows_match_closed_form(self, capsys, tmp_path, res, convention):
+        """The row-wise array scan prints what the per-point closed form gives."""
         out_path = tmp_path / "scan.csv"
         code, _, _ = run_cli(
-            capsys, "scan", "--zeta", "0.7", "--resolution", "60",
+            capsys, "scan", "--zeta", "0.7", "--resolution", str(res),
             "--convention", convention, "--output", str(out_path),
         )
         assert code == 0
         expected = ["xi3,xi8,region,distance"]
-        for j in range(60):
-            for i in range(60):
-                c = QutritChart((SQRT3 / 2.0) * i / 59, 0.5 * j / 59)
+        for j in range(res):
+            for i in range(res):
+                c = QutritChart((SQRT3 / 2.0) * i / (res - 1), 0.5 * j / (res - 1))
                 if c.in_chamber():
-                    res = qutrit_distance(c, 0.7)
-                    d = res.distance_paper if convention == "paper" else res.distance_frobenius
-                    expected.append(f"{_fmt(c.xi3)},{_fmt(c.xi8)},{res.region.value},{_fmt(d)}")
-        assert len(expected) == 1 + 60 * 61 // 2
+                    r = qutrit_distance(c, 0.7)
+                    d = r.distance_paper if convention == "paper" else r.distance_frobenius
+                    expected.append(f"{_fmt(c.xi3)},{_fmt(c.xi8)},{r.region.value},{_fmt(d)}")
+        assert len(expected) == 1 + res * (res + 1) // 2
         assert out_path.read_text().splitlines() == expected
 
     def test_invalid_zeta_leaves_no_file(self, capsys, tmp_path):

@@ -127,7 +127,9 @@ class TestChart:
             (5 / 12, 5 / 12, 1 / 6), abs=1e-15
         )
 
-    @pytest.mark.parametrize("xi3,xi8", [(-0.1, 0.3), (0.3, 0.1), (0.0, 0.6)])
+    @pytest.mark.parametrize(
+        "xi3,xi8", [(-0.1, 0.3), (0.3, 0.1), (0.0, 0.6), (0.0, 0.5 + 2e-12)]
+    )
     def test_out_of_chamber_rejected(self, xi3, xi8):
         with pytest.raises(OutOfChamber):
             spectrum_from_chart(QutritChart(xi3, xi8))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_chamber_chart, random_spectrum
 from ncdist import (
+    KernelSpectrum,
     OutOfChamber,
     QutritChart,
     Region,
@@ -24,7 +25,7 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.distance import _project_cut
-from ncdist.geometry import _cut_projection
+from ncdist.geometry import REGIONS, _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -86,6 +87,22 @@ class TestQutritDistance:
         with pytest.raises(OutOfChamber):
             qutrit_distance(QutritChart(0.5, 0.1), 0.2)
 
+    @pytest.mark.parametrize("zeta", [0.0, math.pi / 6, ZETA_MAX])
+    def test_chamber_edge_spectrum(self, zeta):
+        """Valid spectra with r3 = -1e-12 chart to xi8 = 1/2 + 1.5e-12, past
+        xi8 = 1/2 + 1e-12; the closed form takes them and agrees with the
+        projection."""
+        for values in (
+            (0.5 + 1e-12, 0.5, -1e-12),
+            (0.5 + 5e-13, 0.5 + 5e-13, -1e-12),  # classical at zeta = 0
+            (1.0 + 1e-12, 0.0, -1e-12),
+        ):
+            r = Spectrum(values)
+            res = qutrit_distance(chart_from_spectrum(r), zeta)
+            general = distance_general(r, qutrit_kernel(zeta))
+            assert res.distance_paper == pytest.approx(general.distance_paper, abs=1e-11)
+            assert res.classical == general.classical
+
     def test_segment_ends_are_the_anchor_points(self):
         """Beyond the band the nearest point is the segment end Q or R that
         qutrit_anchor_points builds independently."""
@@ -94,7 +111,8 @@ class TestQutritDistance:
         for _ in range(4000):
             c = random_chamber_chart(rng)
             z = float(rng.random()) * ZETA_MAX
-            region, nearest, _, _ = _cut_projection(c, z)
+            code, nearest, _, _ = _cut_projection(c.xi3, c.xi8, z)
+            region = REGIONS[code]
             anchors = qutrit_anchor_points(z)
             end = {Region.AQT: anchors.Q, Region.BRS: anchors.R}.get(region)
             if end is None:
@@ -209,6 +227,16 @@ class TestBruteforceProject:
         k = qutrit_kernel(1e-9)
         assert bruteforce_project(r, k).values == pytest.approx(
             project_to_classical(r, k).values, abs=1e-14
+        )
+
+    def test_picks_the_kkt_candidate_at_a_rounding_tie(self):
+        """Near zeta = 0 the corner R and the band foot lie at squared
+        distances that differ by rounding; only the foot has non-negative
+        multipliers."""
+        r = Spectrum((0.9999999988682899, 1.1232692108667924e-09, 8.440848132354456e-12))
+        k = KernelSpectrum((1.0000000000000486, 0.9999999999999515, -1.0))
+        assert bruteforce_project(r, k).values == pytest.approx(
+            project_to_classical(r, k).values, abs=1e-12
         )
 
     def test_oracle_equivalence_across_dimensions(self):
