@@ -37,13 +37,11 @@ from .errors import (
     OutOfChamber,
 )
 from .geometry import (
-    Hyperplane,
     Polytope,
     QutritAnchors,
     Region,
     absolute_radius,
     classify_region,
-    hyperplane,
     positivity_polytope,
     qutrit_anchor_points,
     tangent_spectrum,
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionMismatch",
-    "Hyperplane",
     "IndicatorResult",
     "InfeasibleModel",
     "KernelSpectrum",
@@ -90,7 +87,6 @@ __all__ = [
     "conversion_factor",
     "distance_general",
     "haar_unitary",
-    "hyperplane",
     "is_classical",
     "kernel_from_spectrum",
     "metric_convert",

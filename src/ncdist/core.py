@@ -69,12 +69,6 @@ class QutritChart:
         object.__setattr__(self, "xi3", float(self.xi3))
         object.__setattr__(self, "xi8", float(self.xi8))
 
-    def in_chamber(self, tol: float = CHAMBER_TOL) -> bool:
-        return bool(chamber_mask(self.xi3, self.xi8, tol))
-
-    def norm(self) -> float:
-        return math.hypot(self.xi3, self.xi8)
-
 
 def chamber_mask(xi3, xi8, tol: float = CHAMBER_TOL):
     """Chamber membership of chart points, for floats or arrays of one shape.
@@ -88,7 +82,7 @@ def chamber_mask(xi3, xi8, tol: float = CHAMBER_TOL):
 
 
 def require_chamber(c: QutritChart, tol: float = CHAMBER_TOL) -> None:
-    if not c.in_chamber(tol):
+    if not chamber_mask(c.xi3, c.xi8, tol):
         raise OutOfChamber(
             f"chart point ({c.xi3}, {c.xi8}) lies outside the chamber triangle"
         )
@@ -174,12 +168,12 @@ def spectrum_from_chart(c: QutritChart) -> Spectrum:
 
     r1 = 1/3 + xi3/sqrt(3) + xi8/3, r2 = 1/3 - xi3/sqrt(3) + xi8/3 and
     r3 = 1/3 - 2 xi8/3. Raises OutOfChamber when the point violates the
-    chamber inequalities beyond 1e-12. On the chamber's upper edge, the
-    chart of r3 = -1e-12, rounding can return r3 just below -1e-12; it is
-    held at -1e-12 there.
+    chamber inequalities beyond 1e-12. Those tolerances add up near the
+    edges, so an admitted point can map up to 3e-12 outside [0, 1]; each
+    eigenvalue is held inside Spectrum's [-1e-12, 1 + 1e-12].
     """
     require_chamber(c)
     r1 = 1.0 / 3.0 + c.xi3 / SQRT3 + c.xi8 / 3.0
     r2 = 1.0 / 3.0 - c.xi3 / SQRT3 + c.xi8 / 3.0
-    r3 = max(1.0 / 3.0 - 2.0 * c.xi8 / 3.0, -CHAMBER_TOL)
-    return Spectrum((r1, r2, r3))
+    r3 = 1.0 / 3.0 - 2.0 * c.xi8 / 3.0
+    return Spectrum(tuple(min(max(v, -VALUE_TOL), 1.0 + VALUE_TOL) for v in (r1, r2, r3)))

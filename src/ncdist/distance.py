@@ -22,16 +22,16 @@ from .core import (
 from .errors import DimensionMismatch, InfeasibleModel
 from .geometry import REGIONS, Region, _cut_projection
 from .kernel import KernelSpectrum, check_zeta, zeta_from_kernel
-from .wigner import CLASSICAL_TOL, wigner_floor
+from .wigner import CLASSICAL_TOL, is_classical, wigner_floor
 
 
 @dataclass(frozen=True)
 class IndicatorResult:
     """Outcome of the nonclassicality distance computation for one state.
 
-    Distances come in both conventions; `region` and `nearest_chart` are
-    populated for qutrits only. `floor` is the exact Wigner floor of the
-    input state and `classical` is the floor >= -1e-12 predicate.
+    Distances come in both conventions; `region` is populated for qutrits
+    only. `floor` is the exact Wigner floor of the input state and
+    `classical` is the floor >= -1e-12 predicate.
     """
 
     distance_paper: float
@@ -40,7 +40,6 @@ class IndicatorResult:
     nearest: Spectrum
     floor: float
     classical: bool
-    nearest_chart: QutritChart | None = None
 
 
 def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
@@ -65,7 +64,6 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
         nearest=spectrum_from_chart(nearest_chart),
         floor=floor,
         classical=classical,
-        nearest_chart=nearest_chart,
     )
 
 
@@ -209,12 +207,12 @@ def project_to_classical(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
     The classical set is the chamber cut by the floor >= 0 halfspace, whose
     normal is the kernel in ascending order. The nearest point is found by
     an exact multiplier search over that one halfspace, so its floor is
-    zero to rounding. A spectrum already satisfying floor >= 0 is returned
-    unchanged.
+    zero to rounding. A spectrum that :func:`is_classical` admits, as
+    :func:`distance_general` does, is returned unchanged.
     """
     if r.n != kernel.n:
         raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
-    if wigner_floor(r, kernel) >= 0.0:
+    if is_classical(r, kernel):
         return r
     return Spectrum(tuple(_project_cut(r.values, kernel.values[::-1])))
 
@@ -240,14 +238,12 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
             math.fsum((a - b) ** 2 for a, b in zip(r.values, nearest.values))
         )
     region = None
-    nearest_chart = None
     if r.n == 3:
         if classical:
             region = Region.OQR
         else:
             c = chart_from_spectrum(r)
             region = REGIONS[_cut_projection(c.xi3, c.xi8, zeta_from_kernel(kernel))[0]]
-        nearest_chart = chart_from_spectrum(nearest)
     return IndicatorResult(
         distance_paper=d_frob * conversion_factor(r.n),
         distance_frobenius=d_frob,
@@ -255,7 +251,6 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
         nearest=nearest,
         floor=floor,
         classical=classical,
-        nearest_chart=nearest_chart,
     )
 
 

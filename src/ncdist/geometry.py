@@ -1,6 +1,6 @@
-"""Positivity geometry: the separating hyperplane, the Wigner-positivity
-polytope inside the ordered eigenvalue simplex, the absolute-positivity
-ball with its tangent state, and the qutrit region decomposition."""
+"""Positivity geometry: the Wigner-positivity polytope inside the ordered
+eigenvalue simplex, the absolute-positivity ball with its tangent state,
+and the qutrit region decomposition."""
 
 from __future__ import annotations
 
@@ -47,34 +47,16 @@ REGIONS = (Region.OQR, Region.AQT, Region.QRST, Region.BRS)
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """Zero level of the Wigner floor over the ordered simplex.
-
-    The normal is the kernel spectrum in increasing order, so evaluating
-    the functional on a decreasing spectrum reproduces the floor pairing.
-    The hyperplane passes through the origin.
-    """
-
-    normal: tuple[float, ...]
-
-    def value(self, r: Spectrum) -> float:
-        if r.n != len(self.normal):
-            raise DimensionMismatch(f"spectrum n={r.n} vs normal n={len(self.normal)}")
-        return math.fsum(a * b for a, b in zip(r.values, self.normal))
-
-
-@dataclass(frozen=True)
 class Polytope:
-    """Wigner-positivity polytope in vertex plus halfspace form.
+    """Wigner-positivity polytope by its vertices: the ordered simplex cut
+    by the halfspace wigner_floor >= 0.
 
-    Every polytope point satisfies normal . r >= offset for each halfspace
-    row; all offsets here are zero. Vertices are stored in a deterministic
-    order: by chart coordinates for qutrits, lexicographically otherwise.
+    Vertices are stored in a deterministic order: by chart coordinates for
+    qutrits, lexicographically otherwise.
     """
 
     n: int
     vertices: tuple[Spectrum, ...]
-    halfspaces: tuple[tuple[tuple[float, ...], float], ...]
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "vertices": [list(v.values) for v in self.vertices]}
@@ -93,11 +75,6 @@ class QutritAnchors:
     B: QutritChart
     Q: QutritChart
     R: QutritChart
-
-
-def hyperplane(kernel: KernelSpectrum) -> Hyperplane:
-    """Separating hyperplane of a kernel: normal = kernel sorted increasing."""
-    return Hyperplane(normal=kernel.values[::-1])
 
 
 def positivity_polytope(kernel: KernelSpectrum) -> Polytope:
@@ -131,17 +108,7 @@ def positivity_polytope(kernel: KernelSpectrum) -> Polytope:
         vertices.sort(key=lambda v: (chart_from_spectrum(v).xi3, chart_from_spectrum(v).xi8))
     else:
         vertices.sort(key=lambda v: v.values)
-
-    rows: list[tuple[tuple[float, ...], float]] = []
-    for i in range(n - 1):
-        row = [0.0] * n
-        row[i], row[i + 1] = 1.0, -1.0
-        rows.append((tuple(row), 0.0))
-    last = [0.0] * n
-    last[n - 1] = 1.0
-    rows.append((tuple(last), 0.0))
-    rows.append((tuple(float(x) for x in normal), 0.0))
-    return Polytope(n=n, vertices=tuple(vertices), halfspaces=tuple(rows))
+    return Polytope(n=n, vertices=tuple(vertices))
 
 
 def absolute_radius(n: int, convention: MetricConvention) -> float:
@@ -156,8 +123,8 @@ def absolute_radius(n: int, convention: MetricConvention) -> float:
 
 
 def tangent_spectrum(kernel: KernelSpectrum) -> Spectrum:
-    """State where the positivity hyperplane touches the absolute-positivity
-    ball: spectrum (n - pi_n, n - pi_{n-1}, ..., n - pi_1) / (n^2 - 1)."""
+    """State where the zero level of the Wigner floor touches the
+    absolute-positivity ball: spectrum (n - pi_n, n - pi_{n-1}, ..., n - pi_1) / (n^2 - 1)."""
     n = kernel.n
     denom = float(n * n - 1)
     return Spectrum(tuple((n - p) / denom for p in reversed(kernel.values)))

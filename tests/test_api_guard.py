@@ -1,0 +1,84 @@
+"""Names the benchmark harness in perfbench/ looks up in the package, and
+validation that does not rest on `assert` (stripped under `python -O`).
+
+The harness files are only read here, never imported or changed.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "ncdist"
+
+
+def _traced_names() -> list[str]:
+    """'module.name' entries of the TRACED table in perfbench/tracing.py."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            table = ast.literal_eval(node.value)
+            return sorted(f"{module}.{name}" for module, names in table.items() for name in names)
+    raise LookupError("perfbench/tracing.py defines no TRACED table")
+
+
+def _dotted(node) -> str | None:
+    """'ncdist.a.b' for an attribute chain rooted at the name `ncdist`."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "ncdist" and parts:
+        return ".".join(["ncdist", *reversed(parts)])
+    return None
+
+
+def _harness_names() -> list[str]:
+    """Every `ncdist.X` attribute and `from ncdist... import X` name used
+    by a perfbench module."""
+    found = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ncdist"):
+                found.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif (name := _dotted(node)) is not None:
+                found.add(name)
+    return sorted(found)
+
+
+def _resolve(dotted: str):
+    """Look a dotted name up as perfbench does: attributes of the package,
+    importing a submodule where the attribute is one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            obj = importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+def test_harness_uses_the_package():
+    assert len(_traced_names()) >= 20
+    assert "ncdist.distance_general" in _harness_names()
+
+
+@pytest.mark.parametrize("dotted", sorted(set(_traced_names()) | set(_harness_names())))
+def test_benchmark_name_exists(dotted):
+    _resolve(dotted)
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -10,6 +10,7 @@ import pytest
 
 from ncdist import QutritChart, haar_unitary, qutrit_distance
 from ncdist.cli import _fmt, main
+from ncdist.core import chamber_mask
 
 SQRT3 = math.sqrt(3.0)
 PI_THIRD = "1.0471975511965976"
@@ -271,7 +272,7 @@ class TestScanCommand:
         for j in range(res):
             for i in range(res):
                 c = QutritChart((SQRT3 / 2.0) * i / (res - 1), 0.5 * j / (res - 1))
-                if c.in_chamber():
+                if chamber_mask(c.xi3, c.xi8):
                     r = qutrit_distance(c, 0.7)
                     d = r.distance_paper if convention == "paper" else r.distance_frobenius
                     expected.append(f"{_fmt(c.xi3)},{_fmt(c.xi8)},{r.region.value},{_fmt(d)}")

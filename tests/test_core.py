@@ -18,6 +18,7 @@ from ncdist import (
     spectrum_from_chart,
     spectrum_from_matrix,
 )
+from ncdist.core import chamber_mask
 
 SQRT3 = math.sqrt(3.0)
 
@@ -133,6 +134,35 @@ class TestChart:
     def test_out_of_chamber_rejected(self, xi3, xi8):
         with pytest.raises(OutOfChamber):
             spectrum_from_chart(QutritChart(xi3, xi8))
+
+    @pytest.mark.parametrize(
+        "xi3,xi8",
+        [(SQRT3 * (0.5 + 1e-12), 0.5), (SQRT3 / 2 + 1e-12, 0.5 + 1.5e-12)],
+        ids=["r3-below-interval", "r1-above-interval"],
+    )
+    def test_admitted_points_beyond_corner_b(self, xi3, xi8):
+        assert chamber_mask(xi3, xi8)
+        r = spectrum_from_chart(QutritChart(xi3, xi8))
+        assert r.values == pytest.approx((1.0, 0.0, 0.0), abs=3e-12)
+
+    def test_admitted_points_near_edges_and_corners(self):
+        """Every chart point the chamber admits converts, however its
+        tolerances add up; within 4e-12 of each edge and corner."""
+        rng = np.random.default_rng(22)
+        corners = [(0.0, 0.0), (0.0, 0.5), (SQRT3 / 2, 0.5)]
+        admitted = 0
+        for k, (x0, y0) in enumerate(corners):
+            x1, y1 = corners[(k + 1) % 3]
+            for t in list(rng.random(3000)) + [0.0] * 1000:
+                dx, dy = rng.uniform(-4e-12, 4e-12, 2)
+                xi3, xi8 = x0 + t * (x1 - x0) + dx, y0 + t * (y1 - y0) + dy
+                if not chamber_mask(xi3, xi8):
+                    continue
+                admitted += 1
+                back = chart_from_spectrum(spectrum_from_chart(QutritChart(xi3, xi8)))
+                assert abs(back.xi3 - xi3) <= 5e-12
+                assert abs(back.xi8 - xi8) <= 5e-12
+        assert admitted > 4000
 
     def test_round_trip_on_random_chamber_points(self):
         rng = np.random.default_rng(21)

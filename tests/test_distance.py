@@ -46,27 +46,24 @@ class TestQutritDistance:
         res = qutrit_distance(QutritChart(SQRT3 / 2, 0.5), 0.0)
         assert res.distance_paper == pytest.approx(0.75, abs=1e-12)
         assert res.region is Region.BRS
-        assert (res.nearest_chart.xi3, res.nearest_chart.xi8) == pytest.approx(
-            (SQRT3 / 8, 0.125), abs=1e-12
-        )
+        near = chart_from_spectrum(res.nearest)
+        assert (near.xi3, near.xi8) == pytest.approx((SQRT3 / 8, 0.125), abs=1e-12)
 
     def test_band_point_at_zeta_zero(self):
         c = chart_from_spectrum(Spectrum((0.7, 0.2, 0.1)))
         res = qutrit_distance(c, 0.0)
         assert res.distance_paper == pytest.approx(0.3, abs=1e-12)
         assert res.region is Region.QRST
-        assert (res.nearest_chart.xi3, res.nearest_chart.xi8) == pytest.approx(
-            (0.1732051, 0.2), abs=1e-6
-        )
+        near = chart_from_spectrum(res.nearest)
+        assert (near.xi3, near.xi8) == pytest.approx((0.1732051, 0.2), abs=1e-6)
         assert res.nearest.values == pytest.approx((0.5, 0.3, 0.2), abs=1e-12)
 
     def test_corner_a_at_zeta_pi_third(self):
         res = qutrit_distance(QutritChart(0.0, 0.5), ZETA_MAX)
         assert res.distance_paper == pytest.approx(0.25, abs=1e-12)
         assert res.region is Region.AQT
-        assert (res.nearest_chart.xi3, res.nearest_chart.xi8) == pytest.approx(
-            (0.0, 0.25), abs=1e-12
-        )
+        near = chart_from_spectrum(res.nearest)
+        assert (near.xi3, near.xi8) == pytest.approx((0.0, 0.25), abs=1e-12)
 
     def test_conventions_scale_by_metric_factor(self):
         rng = np.random.default_rng(51)
@@ -127,6 +124,14 @@ class TestProjectToClassical:
         r = Spectrum((0.4, 0.35, 0.25))
         k = qutrit_kernel(0.0)
         assert wigner_floor(r, k) >= 0
+        assert project_to_classical(r, k) is r
+
+    def test_classical_within_tolerance_returned_exactly(self):
+        """The same classical test as distance_general: floor >= -1e-12."""
+        r = Spectrum((0.5 + 2.5e-13, 0.3, 0.2 - 2.5e-13))
+        k = qutrit_kernel(0.0)
+        assert -1e-12 <= wigner_floor(r, k) < 0.0
+        assert distance_general(r, k).nearest is r
         assert project_to_classical(r, k) is r
 
     def test_band_point_lands_on_closed_form_foot(self):

@@ -10,10 +10,8 @@ from ncdist import (
     OutOfChamber,
     QutritChart,
     Region,
-    Spectrum,
     absolute_radius,
     classify_region,
-    hyperplane,
     kernel_from_spectrum,
     metric_convert,
     positivity_polytope,
@@ -27,33 +25,6 @@ from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_projection, _hypot
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
-
-
-class TestHyperplane:
-    def test_normal_is_reversed_kernel(self):
-        h = hyperplane(kernel_from_spectrum((1.0, 1.0, -1.0), 3))
-        assert h.normal == (-1.0, 1.0, 1.0)
-
-    def test_evaluation_equals_floor_exactly(self):
-        k = kernel_from_spectrum((1.0, 1.0, -1.0), 3)
-        h = hyperplane(k)
-        r = Spectrum((0.7, 0.2, 0.1))
-        assert h.value(r) == wigner_floor(r, k)
-        assert h.value(r) == pytest.approx(-0.4, abs=1e-15)
-
-    def test_tangency_value_is_zero(self):
-        k = kernel_from_spectrum((5 / 3, -1 / 3, -1 / 3), 3)
-        assert hyperplane(k).value(Spectrum((5 / 12, 5 / 12, 1 / 6))) == pytest.approx(
-            0.0, abs=1e-15
-        )
-
-    def test_matches_floor_on_random_inputs(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            r = Spectrum(tuple(rng.dirichlet(np.ones(n))))
-            k = random_kernel(n, int(rng.integers(0, 1 << 30)))
-            assert hyperplane(k).value(r) == wigner_floor(r, k)
 
 
 class TestPositivityPolytope:
@@ -108,9 +79,7 @@ class TestPositivityPolytope:
                 k = random_kernel(n, int(rng.integers(0, 1 << 30)))
                 p = positivity_polytope(k)
                 for v in p.vertices:
-                    arr = v.as_array()
-                    for normal, offset in p.halfspaces:
-                        assert float(np.dot(normal, arr)) >= offset - 1e-10
+                    assert wigner_floor(v, k) >= -1e-10
 
     def test_vertices_pairwise_distinct(self):
         rng = np.random.default_rng(33)
