@@ -18,8 +18,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .core import (
     SQRT3,
     MetricConvention,
@@ -91,7 +89,10 @@ def _load_state(path: str) -> tuple[Spectrum, np.ndarray | None]:
         data = json.load(fh)
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("state file must be a JSON object with an 'n' field")
-    n = int(data["n"])
+    n = data["n"]
+    # bool is an int subclass, and int() would truncate a float silently
+    if type(n) is not int:
+        raise ValueError(f"'n' must be an integer, got {n!r}")
     has_spectrum = "spectrum" in data
     has_matrix = "matrix_re" in data or "matrix_im" in data
     if has_spectrum == has_matrix:
@@ -105,6 +106,8 @@ def _load_state(path: str) -> tuple[Spectrum, np.ndarray | None]:
         return Spectrum(tuple(values)), None
     if "matrix_re" not in data or "matrix_im" not in data:
         raise ValueError("matrix payload needs both 'matrix_re' and 'matrix_im'")
+    import numpy as np
+
     m = np.array(data["matrix_re"], dtype=float) + 1j * np.array(
         data["matrix_im"], dtype=float
     )
@@ -144,6 +147,8 @@ def _cmd_indicator(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    import numpy as np
+
     zeta = _zeta_value(args)
     if zeta is None:
         raise ValueError("scan needs --zeta or --zeta-degrees")
@@ -179,6 +184,8 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_sample_min(args) -> int:
+    import numpy as np
+
     spectrum, rho = _load_state(args.state)
     if rho is None:
         rho = np.diag(np.array(spectrum.values, dtype=complex))

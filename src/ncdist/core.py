@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DimensionMismatch, NonHermitian, NotAState, OutOfChamber
 
 SQRT3 = math.sqrt(3.0)
@@ -50,6 +48,8 @@ class Spectrum:
         return len(self.values)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.values, dtype=float)
 
 
@@ -127,16 +127,21 @@ def metric_convert(
 def spectrum_from_matrix(m) -> Spectrum:
     """Eigenvalues of a density matrix, sorted non-increasing.
 
-    The input must be Hermitian within 1e-12 elementwise, have unit trace
-    within 1e-10 and be positive semidefinite within 1e-10. Tiny negative
-    eigenvalues are clipped at zero and the vector renormalized; both
-    adjustments stay inside the admission tolerances.
+    The input must be finite, Hermitian within 1e-12 elementwise, have unit
+    trace within 1e-10 and be positive semidefinite within 1e-10. Tiny
+    negative eigenvalues are clipped at zero and the vector renormalized;
+    both adjustments stay inside the admission tolerances.
     """
+    import numpy as np
+
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise DimensionMismatch("dimension must be at least 2")
+    # NaN fails every comparison, so it would pass the Hermitian check below
+    if not np.isfinite(arr).all():
+        raise NotAState("matrix entries must be finite")
     defect = float(np.max(np.abs(arr - arr.conj().T)))
     if defect > 1e-12:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e}")

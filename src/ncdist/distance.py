@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .core import (
     QutritChart,
     Spectrum,
@@ -266,6 +264,8 @@ def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
     Exact up to linear-solve rounding; an independent check for
     :func:`project_to_classical` at small n.
     """
+    import numpy as np
+
     n = r.n
     if kernel.n != n:
         raise DimensionMismatch(f"spectrum n={n} vs kernel n={kernel.n}")

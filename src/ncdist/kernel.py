@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import SQRT3
 from .errors import DimensionMismatch, MasterEquationViolated, ModuliOutOfRange
 
@@ -48,6 +46,8 @@ class KernelSpectrum:
         return len(self.values)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.values, dtype=float)
 
     def residuals(self) -> tuple[float, float]:
@@ -102,6 +102,8 @@ def random_kernel(n: int, seed: int) -> KernelSpectrum:
     construction. The counter-based Philox generator keeps parallel calls
     with distinct seeds independent.
     """
+    import numpy as np
+
     if n < 2:
         raise DimensionMismatch("kernel dimension must be at least 2")
     rng = np.random.Generator(np.random.Philox(seed))

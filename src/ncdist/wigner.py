@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import Spectrum
 from .errors import DimensionMismatch, NonHermitian
 from .kernel import KernelSpectrum
@@ -15,12 +13,18 @@ from .kernel import KernelSpectrum
 CLASSICAL_TOL = 1e-12
 
 _IMAG_TOL = 1e-10
+#: Haar draws per standard_normal block, and matrices per QR and einsum
+#: call; slicing a block bounds the arrays alive at once without
+#: changing the draws
 _CHUNK = 32768
+_SLICE = 4096
 
 
 def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
     """Wigner value tr[rho U diag(pi) U^H] at the phase-space point
     represented by the unitary U."""
+    import numpy as np
+
     rho_arr = np.asarray(rho, dtype=complex)
     u_arr = np.asarray(u, dtype=complex)
     n = kernel.n
@@ -58,6 +62,8 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     QR decomposition of a complex Gaussian matrix, with the phases of the
     R diagonal folded back into Q.
     """
+    import numpy as np
+
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -72,6 +78,8 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     unitary that realizes the opposite-order pairing, so the analytic floor
     is reached regardless of the sample budget. Deterministic per seed.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rho_arr = np.asarray(rho, dtype=complex)
@@ -94,12 +102,13 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
         z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal(
             (count, n, n)
         )
-        q, r = np.linalg.qr(z)
-        d = np.einsum("...ii->...i", r)
-        u = q * (d / np.abs(d))[:, None, :]
-        vals = np.einsum("bik,ij,bjk,k->b", u.conj(), rho_arr, u, pi, optimize=True)
-        imag = float(np.max(np.abs(vals.imag)))
-        if imag >= _IMAG_TOL:
-            raise NonHermitian(f"sampled trace has imaginary residue {imag:.3e}")
-        best = min(best, float(np.min(vals.real)))
+        for start in range(0, count, _SLICE):
+            q, r = np.linalg.qr(z[start : start + _SLICE])
+            d = np.einsum("...ii->...i", r)
+            u = q * (d / np.abs(d))[:, None, :]
+            vals = np.einsum("bik,ij,bjk,k->b", u.conj(), rho_arr, u, pi, optimize=True)
+            imag = float(np.max(np.abs(vals.imag)))
+            if imag >= _IMAG_TOL:
+                raise NonHermitian(f"sampled trace has imaginary residue {imag:.3e}")
+            best = min(best, float(np.min(vals.real)))
     return best

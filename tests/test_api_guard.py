@@ -1,5 +1,6 @@
-"""Names the benchmark harness in perfbench/ looks up in the package, and
-validation that does not rest on `assert` (stripped under `python -O`).
+"""Names the benchmark harness in perfbench/ looks up in the package,
+validation that does not rest on `assert` (stripped under `python -O`), and
+numpy imported only inside the functions that run array code.
 
 The harness files are only read here, never imported or changed.
 """
@@ -80,5 +81,32 @@ def test_package_has_no_assert_statements():
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _import_time_nodes(tree: ast.Module):
+    """Nodes of a module that run when it is imported: all but the bodies
+    of functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_package_imports_numpy_only_inside_functions():
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in _import_time_nodes(ast.parse(path.read_text()))
+        if _imports_numpy(node)
     ]
     assert found == []

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ncdist import QutritChart, haar_unitary, qutrit_distance
+from ncdist import QutritChart, haar_unitary, qutrit_distance, random_kernel
 from ncdist.cli import _fmt, main
 from ncdist.core import chamber_mask
 
@@ -172,6 +172,14 @@ class TestIndicatorCommand:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "indicator", "--state", str(path), "--zeta", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("n", [3.7, True], ids=["float", "bool"])
+    def test_non_integer_n_rejected(self, capsys, tmp_path, n):
+        state = write_state(tmp_path, "n.json", {"n": n, "spectrum": [0.5, 0.3, 0.2]})
+        code, out, err = run_cli(capsys, "indicator", "--state", state, "--zeta", "0")
+        assert code == 2
+        assert out == ""
+        assert "'n' must be an integer" in err
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -381,13 +389,29 @@ def test_module_entry_point():
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_non_finite_input_exits_two(tmp_path, flags):
     """NaN fails every comparison, so it needs its own check; the check must
-    not be an assert, which -O strips."""
+    not be an assert, which -O strips. Non-finite matrix entries are
+    rejected before numpy's eigensolver can warn or fail on them."""
     state = write_state(tmp_path, "nan.json", {"n": 4, "spectrum": [math.nan, 0.5, 0.25, 0.25]})
+    runs = [
+        (["kernel", "--n", "3", "--pi", "nan,nan,nan"], "error: "),
+        (["indicator", "--state", state, "--seed", "3"], "error: "),
+    ]
+    for name, (i, j, value) in {
+        "nan_diagonal": (0, 0, math.nan),
+        "nan_off_diagonal": (0, 1, math.nan),
+        "inf_off_diagonal": (0, 1, math.inf),
+        "inf_diagonal": (0, 0, math.inf),
+    }.items():
+        re = [[0.5, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]
+        re[i][j] = re[j][i] = value
+        path = write_state(
+            tmp_path, f"{name}.json", {"n": 3, "matrix_re": re, "matrix_im": [[0.0] * 3] * 3}
+        )
+        runs.append(
+            (["indicator", "--state", path, "--zeta", "0"], "error: matrix entries must be finite")
+        )
     env = dict(os.environ, PYTHONPATH=SRC)
-    for argv in (
-        ["kernel", "--n", "3", "--pi", "nan,nan,nan"],
-        ["indicator", "--state", state, "--seed", "3"],
-    ):
+    for argv, prefix in runs:
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "ncdist", *argv],
             capture_output=True,
@@ -397,4 +421,37 @@ def test_non_finite_input_exits_two(tmp_path, flags):
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.startswith(prefix), proc.stderr
+        assert "Warning" not in proc.stderr
+
+
+def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
+    """Importing the package and the CLI, and commands that run no array
+    code, start without numpy. Runs in a child process, because the test
+    suite itself imports numpy."""
+    s3 = write_state(tmp_path, "s3.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
+    s8 = write_state(
+        tmp_path, "s8.json", {"n": 8, "spectrum": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]}
+    )
+    pi8 = ",".join(repr(v) for v in random_kernel(8, 5).values)
+    commands = [
+        ["indicator", "--state", s3, "--zeta", "0"],
+        ["indicator", "--state", s8, "--pi", pi8],
+        ["kernel", "--n", "3", "--zeta", "0"],
+    ]
+    script = (
+        "import sys\n"
+        "import ncdist\n"
+        "import ncdist.cli\n"
+        f"codes = [ncdist.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
