@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Any
 
 from .core import (
     SQRT3,
@@ -83,8 +84,17 @@ def _kernel_from_args(args, n: int, seed_selects_kernel: bool = True) -> KernelS
     return random_kernel(n, args.seed)
 
 
-def _load_state(path: str) -> tuple[Spectrum, np.ndarray | None]:
-    """Read a state file; returns the spectrum and the matrix when given."""
+def _numbers(value, what: str) -> list[float]:
+    """The entries of a JSON list of numbers, as floats."""
+    # bool is an int subclass, and float() would also take a numeric string
+    if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
+        raise ValueError(f"{what} must be a list of numbers")
+    return [float(v) for v in value]
+
+
+def _load_state(path: str) -> tuple[Spectrum, Any]:
+    """Read a state file; returns the spectrum and, when given, the matrix
+    as a complex numpy array."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "n" not in data:
@@ -100,19 +110,24 @@ def _load_state(path: str) -> tuple[Spectrum, np.ndarray | None]:
             "state file needs exactly one payload: 'spectrum' or 'matrix_re'/'matrix_im'"
         )
     if has_spectrum:
-        values = [float(v) for v in data["spectrum"]]
+        values = _numbers(data["spectrum"], "'spectrum'")
         if len(values) != n:
             raise ValueError(f"spectrum has {len(values)} entries, expected n={n}")
         return Spectrum(tuple(values)), None
     if "matrix_re" not in data or "matrix_im" not in data:
         raise ValueError("matrix payload needs both 'matrix_re' and 'matrix_im'")
+    parts = []
+    for key in ("matrix_re", "matrix_im"):
+        rows = data[key]
+        if not isinstance(rows, list):
+            raise ValueError(f"'{key}' must be a list of rows")
+        rows = [_numbers(row, f"each row of '{key}'") for row in rows]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"'{key}' must be {n} rows of {n} numbers")
+        parts.append(rows)
     import numpy as np
 
-    m = np.array(data["matrix_re"], dtype=float) + 1j * np.array(
-        data["matrix_im"], dtype=float
-    )
-    if m.shape != (n, n):
-        raise ValueError(f"matrix has shape {m.shape}, expected ({n}, {n})")
+    m = np.array(parts[0]) + 1j * np.array(parts[1])
     return spectrum_from_matrix(m), m
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from .errors import DimensionMismatch, NonHermitian, NotAState, OutOfChamber
 
@@ -47,7 +48,8 @@ class Spectrum:
     def n(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self) -> Any:
+        """The values as a float numpy array."""
         import numpy as np
 
         return np.array(self.values, dtype=float)

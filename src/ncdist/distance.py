@@ -1,13 +1,15 @@
 """The nonclassicality distance indicator: exact qutrit closed form, exact
 projection onto the positivity polytope for general dimension (a search for
 the multiplier of its one halfspace, floor >= 0, solved on its final linear
-piece), and an exhaustive active-set oracle."""
+piece, on pooled blocks), and an exhaustive active-set oracle."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     QutritChart,
@@ -65,12 +67,13 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     )
 
 
-def project_monotone_nonincreasing(values: Sequence[float]) -> list[float]:
-    """Euclidean projection onto the non-increasing cone.
+def _pool(values: Iterable[float]) -> tuple[list[float], list[int]]:
+    """Pool adjacent violators: the block means and counts of the Euclidean
+    projection onto the non-increasing cone.
 
-    Pool adjacent violators: scan left to right keeping block means
-    non-increasing, merging blocks whenever a new mean exceeds the one
-    before it.
+    Scan left to right keeping block means non-increasing, merging blocks
+    whenever a new mean exceeds the one before it. Adjacent blocks may end
+    with equal means.
     """
     means: list[float] = []
     counts: list[int] = []
@@ -83,10 +86,37 @@ def project_monotone_nonincreasing(values: Sequence[float]) -> list[float]:
             counts.pop()
         means.append(mean)
         counts.append(count)
+    return means, counts
+
+
+def _expand(means: Iterable[float], counts: Iterable[int]) -> list[float]:
+    """The vector whose runs are the blocks: each mean repeated count times."""
     out: list[float] = []
     for mean, count in zip(means, counts):
         out.extend([mean] * count)
     return out
+
+
+def _threshold(u: Iterable[float]) -> float:
+    """Shift theta of the Euclidean projection onto the probability simplex,
+    for entries u in non-increasing order: the largest theta keeping the
+    positive part of u - theta summing to one."""
+    theta = 0.0
+    csum = 0.0
+    for j, uj in enumerate(u, start=1):
+        csum += uj
+        t = (csum - 1.0) / j
+        if uj - t > 0.0:
+            theta = t
+        else:
+            break
+    return theta
+
+
+def project_monotone_nonincreasing(values: Sequence[float]) -> list[float]:
+    """Euclidean projection onto the non-increasing cone, by pool adjacent
+    violators."""
+    return _expand(*_pool(values))
 
 
 def project_simplex(values: Sequence[float]) -> list[float]:
@@ -95,16 +125,7 @@ def project_simplex(values: Sequence[float]) -> list[float]:
     Sorted threshold method: shift everything by the largest theta keeping
     the positive part summing to one, then clip at zero.
     """
-    u = sorted(values, reverse=True)
-    theta = 0.0
-    csum = 0.0
-    for j, uj in enumerate(u):
-        csum += uj
-        t = (csum - 1.0) / (j + 1.0)
-        if uj - t > 0.0:
-            theta = t
-        else:
-            break
+    theta = _threshold(sorted(values, reverse=True))
     return [max(float(v) - theta, 0.0) for v in values]
 
 
@@ -127,26 +148,66 @@ class _Point(NamedTuple):
     slope: float
 
 
-def _point_at(lam: float, z: list[float], x: list[float], a: Sequence[float]) -> _Point:
+def _point_at(
+    lam: float, x: list[float], means: Iterable[float], counts: Iterable[int], a: Sequence[float]
+) -> _Point:
     """Read g(lam) = a . x and its linear piece off one evaluation.
 
-    The piece is fixed by the pooled blocks of z (runs of equal values left
-    by the monotone projection) inside the simplex support of x, a prefix
-    since z is non-increasing. Along the piece x moves by the block means
-    of a minus their support mean, so the slope is the block-size-weighted
-    spread of those block means, a non-negative sum without cancellation.
+    The piece is fixed by the pooled blocks (means and counts) inside the
+    simplex support of x, a prefix of the blocks since x is non-increasing;
+    adjacent blocks of equal mean count as one. Along the piece x moves by
+    the block means of a minus their support mean, so the slope is the
+    block-size-weighted spread of those block means, a non-negative sum
+    without cancellation.
     """
-    m = sum(1 for v in x if v > 0.0)
+    ends: list[int] = []
+    m = 0
+    previous = math.nan
+    for mean, count in zip(means, counts):
+        if x[m] <= 0.0:
+            break
+        if mean == previous:
+            ends[-1] += count
+        else:
+            ends.append(m + count)
+        m += count
+        previous = mean
     mean_t = math.fsum(a[:m]) / m
-    ends = []
     slope = 0.0
     start = 0
-    for i in range(1, m + 1):
-        if i == m or z[i] != z[start]:
-            slope += (i - start) * (math.fsum(a[start:i]) / (i - start) - mean_t) ** 2
-            ends.append(i)
-            start = i
-    return _Point(lam, x, math.fsum(v * w for v, w in zip(x, a)), tuple(ends), slope)
+    for end in ends:
+        slope += (end - start) * (math.fsum(a[start:end]) / (end - start) - mean_t) ** 2
+        start = end
+    return _Point(lam, x, math.fsum(map(operator.mul, x, a)), tuple(ends), slope)
+
+
+def _evaluate(r: Sequence[float], a: Sequence[float], lam: float) -> _Point:
+    """x(lam) = project_simplex(project_monotone_nonincreasing(r + lam a))
+    and its piece of g, found on the pooled blocks of r + lam a without
+    expanding them before the threshold."""
+    means, counts = _pool([v + lam * w for v, w in zip(r, a)])
+    theta = _threshold(chain.from_iterable(map(repeat, means, counts)))
+    x = _expand([max(mean - theta, 0.0) for mean in means], counts)
+    return _point_at(lam, x, means, counts, a)
+
+
+def _full_pooling(r: Sequence[float], a: Sequence[float]) -> float:
+    """The least lam >= 0 at which r + lam a pools into one block: every
+    prefix mean of r + lam a is at most its total mean. With a ascending,
+    the prefix means of a lie below mean(a), so prefix k binds at
+    (mean_k(r) - mean(r)) / (mean(a) - mean_k(a))."""
+    n = len(r)
+    mean_r = math.fsum(r) / n
+    mean_a = math.fsum(a) / n
+    lam = 0.0
+    sum_r = sum_a = 0.0
+    for k in range(1, n):
+        sum_r += r[k - 1]
+        sum_a += a[k - 1]
+        gap = mean_a - sum_a / k
+        if gap > 0.0:
+            lam = max(lam, (sum_r / k - mean_r) / gap)
+    return lam
 
 
 def _project_cut(r: Sequence[float], a: Sequence[float]) -> list[float]:
@@ -156,27 +217,24 @@ def _project_cut(r: Sequence[float], a: Sequence[float]) -> list[float]:
     By the KKT conditions the answer is x(lam) = project_simplex(
     project_monotone_nonincreasing(r + lam a)) at a lam > 0 where the
     nondecreasing, piecewise linear g(lam) = a . x(lam) vanishes. The
-    bracket g(lower) < 0 <= g(upper) starts at lam = 0, where x = r, and
-    at upper lam = 1, doubled until g >= 0. Each step is a Newton step on
-    the piece of the lower, else the upper end when it lands strictly
-    inside the bracket, else bisection. A Newton step that lands on the
-    piece it came from solved that piece, so its point is exact to
-    rounding; so is an end whose Newton correction rounds to nothing. The
-    loop also ends once the bracket holds no float between its ends.
+    bracket g(lower) < 0 < g(upper) is known without evaluating x: at
+    lam = 0, x = r on r's own piece, and at the full-pooling multiplier
+    (:func:`_full_pooling`) r + lam a pools into one block, so x is
+    uniform and g = sum(a) / n = 1 / n. Each step is a Newton step on the
+    piece of the lower, else the upper end when it lands strictly inside
+    the bracket, else bisection; the first is Newton from lam = 0. A
+    Newton step that lands on the piece it came from solved that piece,
+    so its point is exact to rounding; so is an end whose Newton
+    correction rounds to nothing. The loop also ends once the bracket
+    holds no float between its ends.
 
-    Each step is one project_simplex call. The tests hold every call up
-    to n = 64 to at most 12 steps, with degenerate kernels, near-pure,
-    pure and flat spectra; typical calls take 3 or 4.
+    Each step is one evaluation of x(lam) (:func:`_evaluate`). The tests
+    hold every call up to n = 64 to at most 8 steps, with degenerate
+    kernels, near-pure, pure and flat spectra; typical calls take 2 or 3.
     """
-
-    def evaluate(lam: float) -> _Point:
-        z = project_monotone_nonincreasing([v + lam * w for v, w in zip(r, a)])
-        return _point_at(lam, z, project_simplex(z), a)
-
-    lower = _point_at(0.0, list(r), list(r), a)
-    upper = evaluate(1.0)
-    while upper.g < 0.0:
-        lower, upper = upper, evaluate(2.0 * upper.lam)
+    n = len(r)
+    lower = _point_at(0.0, list(r), r, repeat(1), a)
+    upper = _Point(_full_pooling(r, a), [1.0 / n] * n, math.fsum(a) / n, (n,), 0.0)
     while upper.g > 0.0:
         for source in (lower, upper):
             step = source.lam - source.g / source.slope if source.slope > 0.0 else math.nan
@@ -189,7 +247,7 @@ def _project_cut(r: Sequence[float], a: Sequence[float]) -> list[float]:
             step = 0.5 * (lower.lam + upper.lam)
             if not lower.lam < step < upper.lam:
                 break
-        point = evaluate(step)
+        point = _evaluate(r, a, step)
         if source is not None and point.piece == source.piece:
             return point.x
         if point.g < 0.0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from .core import SQRT3
 from .errors import DimensionMismatch, MasterEquationViolated, ModuliOutOfRange
@@ -45,7 +45,8 @@ class KernelSpectrum:
     def n(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self) -> Any:
+        """The values as a float numpy array."""
         import numpy as np
 
         return np.array(self.values, dtype=float)

@@ -4,6 +4,7 @@ predicate and a Monte-Carlo sampling oracle for the floor."""
 from __future__ import annotations
 
 import math
+from typing import Any
 
 from .core import Spectrum
 from .errors import DimensionMismatch, NonHermitian
@@ -56,8 +57,9 @@ def is_classical(r: Spectrum, kernel: KernelSpectrum) -> bool:
     return wigner_floor(r, kernel) >= -CLASSICAL_TOL
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary.
+def haar_unitary(n: int, rng: Any) -> Any:
+    """Haar-distributed n x n unitary, as a complex numpy array, drawn from
+    the numpy Generator rng.
 
     QR decomposition of a complex Gaussian matrix, with the phases of the
     R diagonal folded back into Q.

@@ -1,15 +1,21 @@
 """Names the benchmark harness in perfbench/ looks up in the package,
-validation that does not rest on `assert` (stripped under `python -O`), and
-numpy imported only inside the functions that run array code.
+validation that does not rest on `assert` (stripped under `python -O`),
+numpy imported only inside the functions that run array code, and type
+hints that resolve without it.
 
 The harness files are only read here, never imported or changed.
 """
 
 import ast
 import importlib
+import inspect
+import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
+
+import ncdist
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -110,3 +116,37 @@ def test_package_imports_numpy_only_inside_functions():
         if _imports_numpy(node)
     ]
     assert found == []
+
+
+def _package_callables():
+    """(label, object) for every function and class a package module
+    defines, and for the methods and properties of those classes."""
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ncdist.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
+                continue
+            yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = member.fget if isinstance(member, property) else member
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_type_hints_resolve():
+    """typing.get_type_hints evaluates annotations in the module's globals,
+    where numpy is not bound."""
+    checked = {}
+    failed = []
+    for label, obj in _package_callables():
+        checked[label.rsplit(".", 1)[-1]] = obj
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            failed.append(f"{label}: {exc}")
+    assert failed == []
+    exported = [name for name in ncdist.__all__ if callable(getattr(ncdist, name))]
+    assert [name for name in exported if name not in checked] == []

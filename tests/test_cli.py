@@ -455,3 +455,38 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_state_entries_must_be_json_numbers(tmp_path, flags):
+    """Booleans, numeric strings, a bare number and nested lists are not
+    spectrum or matrix entries: each exits 2 with a message, never with a
+    traceback or as the numbers float() would make of them."""
+    zeros = [[0.0] * 3 for _ in range(3)]
+    diagonal = [[0.5, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]
+    payloads = {
+        "bool_spectrum": {"n": 3, "spectrum": [True, False, False]},
+        "string_spectrum": {"n": 3, "spectrum": ["0.5", "0.3", "0.2"]},
+        "number_spectrum": {"n": 3, "spectrum": 5},
+        "nested_spectrum": {"n": 3, "spectrum": [[0.5], 0.3, 0.2]},
+        "bool_matrix_re": {"n": 3, "matrix_re": [[True, False, False], [False] * 3, [False] * 3],
+                           "matrix_im": zeros},
+        "bool_matrix_im": {"n": 3, "matrix_re": diagonal, "matrix_im": [[False] * 3] * 3},
+        "number_matrix": {"n": 3, "matrix_re": 5, "matrix_im": zeros},
+        "ragged_matrix": {"n": 3, "matrix_re": [[0.5, 0.0, 0.0], [0.0, 0.3], [0.0, 0.0, 0.2]],
+                          "matrix_im": zeros},
+    }
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for name, payload in payloads.items():
+        state = write_state(tmp_path, f"{name}.json", payload)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "ncdist", "indicator", "--state", state, "--zeta", "0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: "), (name, proc.stderr)
+        assert "must be" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ncdist import (
     distance_general,
     is_classical,
     kernel_from_spectrum,
+    project_monotone_nonincreasing,
     project_simplex,
     project_to_classical,
     qutrit_anchor_points,
@@ -24,15 +26,88 @@ from ncdist import (
     spectrum_from_chart,
     wigner_floor,
 )
-from ncdist.distance import _project_cut
+from ncdist.distance import _evaluate, _full_pooling, _point_at, _pool, _project_cut
 from ncdist.geometry import REGIONS, _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
+#: steps of the multiplier search, documented in _project_cut; the worst
+#: measured on the inputs of test_step_cap_up_to_n_64 is 5, and 6 over
+#: thirty other seeds of the same mix
+STEP_CAP = 8
 
 
 def frobenius_gap(a: Spectrum, b: Spectrum) -> float:
     return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a.values, b.values)))
+
+
+def count_evaluations(monkeypatch) -> list:
+    """A list that gains one entry per evaluation of x(lam) in the projector."""
+    calls = []
+    monkeypatch.setattr(
+        "ncdist.distance._evaluate", lambda r, a, lam: calls.append(lam) or _evaluate(r, a, lam)
+    )
+    return calls
+
+
+def bits(values) -> list[str]:
+    """Exact float identity, telling -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def expanded_monotone(values):
+    """Pool adjacent violators, expanded to one entry per input entry."""
+    means, counts = [], []
+    for v in values:
+        mean, count = float(v), 1
+        while means and means[-1] < mean:
+            mean = (means[-1] * counts[-1] + mean * count) / (counts[-1] + count)
+            count += counts[-1]
+            means.pop()
+            counts.pop()
+        means.append(mean)
+        counts.append(count)
+    out = []
+    for mean, count in zip(means, counts):
+        out.extend([mean] * count)
+    return out
+
+
+def expanded_simplex(values):
+    """Sorted threshold method on the expanded entries."""
+    u = sorted(values, reverse=True)
+    theta = 0.0
+    csum = 0.0
+    for j, uj in enumerate(u):
+        csum += uj
+        t = (csum - 1.0) / (j + 1.0)
+        if uj - t > 0.0:
+            theta = t
+        else:
+            break
+    return [max(float(v) - theta, 0.0) for v in values]
+
+
+def expanded_point(z, x, a):
+    """g, piece and slope read off expanded lists: the support of x, and
+    runs of equal values of z inside it."""
+    m = sum(1 for v in x if v > 0.0)
+    mean_t = math.fsum(a[:m]) / m
+    ends = []
+    slope = 0.0
+    start = 0
+    for i in range(1, m + 1):
+        if i == m or z[i] != z[start]:
+            slope += (i - start) * (math.fsum(a[start:i]) / (i - start) - mean_t) ** 2
+            ends.append(i)
+            start = i
+    return math.fsum(v * w for v, w in zip(x, a)), tuple(ends), slope
+
+
+def expanded_evaluation(r, a, lam):
+    z = expanded_monotone([v + lam * w for v, w in zip(r, a)])
+    x = expanded_simplex(z)
+    return (x, *expanded_point(z, x, a))
 
 
 class TestQutritDistance:
@@ -158,12 +233,9 @@ class TestProjectToClassical:
     def test_step_cap_up_to_n_64(self, monkeypatch):
         """Bounded work and an exactly classical result on hard valid
         input: degenerate qutrit kernels, near-pure, pure and flat spectra.
-        Steps are counted as project_simplex calls, one per step."""
-        step_cap = 12  # documented in _project_cut
-        calls = []
-        monkeypatch.setattr(
-            "ncdist.distance.project_simplex", lambda v: calls.append(1) or project_simplex(v)
-        )
+        Steps are counted as evaluations of x(lam), one per step."""
+        step_cap = STEP_CAP
+        calls = count_evaluations(monkeypatch)
         rng = np.random.default_rng(61)
         worst = 0
         for n in (2, 3, 4, 5, 8, 16, 32, 64):
@@ -186,6 +258,58 @@ class TestProjectToClassical:
                 assert is_classical(x, k)
         assert 0 < worst <= step_cap
 
+    def test_workload_mix_step_bound(self, monkeypatch):
+        """The most evaluations per nonclassical state at each n, on a
+        seeded mix of spread (Dirichlet alpha = 1) and near-pure (alpha =
+        0.05) spectra with random kernels and the degenerate qutrit kernels,
+        stay within the 5, 5 and 6 project_simplex calls of the search
+        that bracketed from lam = 1 by doubling."""
+        bound = {3: 5, 8: 5, 32: 6}
+        calls = count_evaluations(monkeypatch)
+        rng = np.random.default_rng(63)
+        kernels = {n: [random_kernel(n, int(s)) for s in rng.integers(0, 1 << 30, 32)]
+                   for n in bound}
+        kernels[3][:2] = [qutrit_kernel(0.0), qutrit_kernel(ZETA_MAX)]
+        worst = dict.fromkeys(bound, 0)
+        for i in range(3000):
+            n = (3, 8, 32)[i % 3]
+            alpha = (1.0, 0.05)[i // 3 % 2]
+            r = Spectrum(tuple(float(v) for v in rng.dirichlet(np.full(n, alpha))))
+            k = kernels[n][int(rng.integers(len(kernels[n])))]
+            calls.clear()
+            distance_general(r, k)
+            worst[n] = max(worst[n], len(calls))
+        assert all(0 < worst[n] <= bound[n] for n in bound), worst
+
+    @pytest.mark.parametrize(
+        "values, pi",
+        [
+            (
+                (0.9999999997280038, 2.719962246948815e-10, 0.0),
+                (1.6666666666666667, -0.3333333333333331, -0.3333333333333335),
+            ),
+            (
+                (0.9999894701956213, 1.0529804378633846e-05, 0.0),
+                (1.6666666666666667, -0.3333333333333331, -0.3333333333333335),
+            ),
+            (
+                (0.9999999444409482, 5.555905176848776e-08, 0.0),
+                (1.666666619108446, -0.3330249000224948, -0.33364171908595136),
+            ),
+        ],
+        ids=["slope-7.7e-32", "zeta-0", "near-zeta-0"],
+    )
+    def test_near_pure_tail(self, monkeypatch, values, pi):
+        """Near-pure states at near-degenerate kernels, where the slope of
+        r's own piece is tiny and a Newton step from lam = 0 lands far
+        past the root; the full-pooling end of the bracket catches it."""
+        calls = count_evaluations(monkeypatch)
+        r, k = Spectrum(values), KernelSpectrum(pi)
+        assert wigner_floor(r, k) < -1e-12
+        x = project_to_classical(r, k)
+        assert 0 < len(calls) <= STEP_CAP
+        assert is_classical(x, k)
+
     def test_projector_agrees_with_closed_form_without_shortcuts(self):
         """Exercise the raw multiplier search on band points, bypassing the
         classical fast return."""
@@ -202,6 +326,98 @@ class TestProjectToClassical:
             k = qutrit_kernel(z)
             x = _project_cut(r.values, k.values[::-1])
             assert x == pytest.approx(closed.nearest.values, abs=1e-12)
+
+
+def evaluation_cases():
+    """Seeded (r, a) pairs, a the kernel in ascending order: spread,
+    near-pure, pure, flat and tied spectra, random kernels and the
+    degenerate qutrit kernels, n up to 64."""
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 4, 5, 8, 16, 32, 64):
+        kernels = [random_kernel(n, int(s)) for s in rng.integers(0, 1 << 30, 3)]
+        if n == 3:
+            kernels += [qutrit_kernel(0.0), qutrit_kernel(ZETA_MAX)]
+        for k in kernels:
+            m = int(rng.integers(2, n + 1))
+            counts = rng.integers(0, 4, n).tolist()
+            counts[0] += 1
+            spectra = [
+                rng.dirichlet(np.full(n, 1.0)),
+                rng.dirichlet(np.full(n, 0.05)),
+                [1.0] + [0.0] * (n - 1),
+                [1.0 / m] * m + [0.0] * (n - m),
+                [c / sum(counts) for c in counts],  # ties
+            ]
+            for values in spectra:
+                yield Spectrum(tuple(float(v) for v in values)).values, k.values[::-1]
+
+
+class TestBlockEvaluation:
+    """x(lam) and its piece of g on the pooled blocks are, bit for bit,
+    the threshold and tie scan on the expanded lists."""
+
+    def test_matches_expanded_evaluation(self, monkeypatch):
+        """At seeded multipliers, at the full-pooling one and at those the
+        search visits; and the search's start at lam = 0, read off r's own
+        entries."""
+        calls = count_evaluations(monkeypatch)
+        rng = np.random.default_rng(72)
+        checked = 0
+        for r, a in evaluation_cases():
+            full = _full_pooling(r, a)
+            calls.clear()
+            if math.fsum(v * w for v, w in zip(r, a)) < 0.0:
+                start = _point_at(0.0, list(r), r, repeat(1), a)
+                g, piece, slope = expanded_point(list(r), list(r), a)
+                assert (bits((start.g, start.slope)), start.piece) == (bits((g, slope)), piece)
+                _project_cut(r, a)
+            for lam in (0.0, full, *(full * 1.5 * rng.random(8)), *calls):
+                point = _evaluate(r, a, lam)
+                x, g, piece, slope = expanded_evaluation(r, a, lam)
+                assert bits(point.x) == bits(x)
+                assert bits((point.g, point.slope)) == bits((g, slope))
+                assert point.piece == piece
+                checked += 1
+        assert checked >= 1500
+
+    def test_adjacent_blocks_of_equal_mean_form_one_piece(self):
+        r = (0.5, 0.4, 0.6, 0.2)
+        a = random_kernel(4, 3).values[::-1]
+        assert _pool(r) == ([0.5, 0.5, 0.2], [1, 2, 1])
+        point = _evaluate(r, a, 0.0)
+        x, g, piece, slope = expanded_evaluation(r, a, 0.0)
+        assert point.piece == piece == (3, 4)
+        assert (bits(point.x), bits((point.g, point.slope))) == (bits(x), bits((g, slope)))
+
+    def test_full_pooling_is_the_least_single_block_multiplier(self):
+        """Past the full-pooling multiplier r + lam a is one block, so x is
+        uniform and g = 1/n; just below it, it is not."""
+        for r, a in evaluation_cases():
+            if len(set(r)) == 1:
+                continue  # uniform: one block at every lam >= 0
+            full = _full_pooling(r, a)
+            n = len(r)
+            above = _evaluate(r, a, full * (1.0 + 1e-9))
+            assert above.piece == (n,)
+            assert above.g == pytest.approx(1.0 / n, abs=1e-12)
+            assert len(_pool([v + full * (1.0 - 1e-6) * w for v, w in zip(r, a)])[0]) > 1
+
+    def test_public_projections_match_expanded_loops(self):
+        """project_monotone_nonincreasing and project_simplex expand the
+        shared block helpers with the same bits as the loops on the
+        expanded lists, on unsorted, tied and integer input."""
+        rng = np.random.default_rng(73)
+        inputs = [[0, 1], [1, 0, 0], [2, 2, -1, 3]]
+        for n in (1, 2, 3, 5, 8, 16, 64):
+            inputs += [
+                rng.normal(size=n).tolist(),
+                np.round(rng.normal(size=n), 1).tolist(),
+                rng.dirichlet(np.ones(n)).tolist(),
+                rng.integers(-2, 3, n).tolist(),
+            ]
+        for y in inputs:
+            assert bits(project_monotone_nonincreasing(y)) == bits(expanded_monotone(y))
+            assert bits(project_simplex(y)) == bits(expanded_simplex(y))
 
 
 class TestBruteforceProject:
