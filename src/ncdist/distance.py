@@ -1,14 +1,14 @@
 """The nonclassicality distance indicator: exact qutrit closed form, exact
 projection onto the positivity polytope for general dimension (a search for
 the multiplier of its one halfspace, floor >= 0, solved on its final linear
-piece, on pooled blocks), and an exhaustive active-set oracle."""
+piece, on pooled blocks), and an exact rational active-set oracle."""
 
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -279,7 +279,8 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
     Classical states (floor >= -1e-12) report distance zero and themselves
     as nearest point; everything else is projected onto the positivity
     polytope. Agrees with :func:`qutrit_distance` for n = 3, whose closed
-    form labels the region of a nonclassical qutrit.
+    form labels the region of a nonclassical qutrit by its band position:
+    the label follows the floor's verdict, so only a classical state is OQR.
     """
     if r.n != kernel.n:
         raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
@@ -299,7 +300,8 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
             region = Region.OQR
         else:
             c = chart_from_spectrum(r)
-            region = REGIONS[_cut_projection(c.xi3, c.xi8, zeta_from_kernel(kernel))[0]]
+            code = _cut_projection(c.xi3, c.xi8, zeta_from_kernel(kernel), beyond=True)[0]
+            region = REGIONS[code]
     return IndicatorResult(
         distance_paper=d_frob * conversion_factor(r.n),
         distance_frobenius=d_frob,
@@ -311,57 +313,57 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
 
 
 def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
-    """Exhaustive active-set projection onto the positivity polytope.
+    """Exhaustive active-set projection onto the positivity polytope, in
+    exact rational arithmetic: the true projection, correctly rounded. An
+    independent check for :func:`project_to_classical` at small n.
 
-    Enumerates every subset of the inequality constraints as a candidate
-    active set and solves the equality-constrained least-squares system by
-    KKT elimination. Among the feasible candidates it keeps a KKT point,
-    one whose active-inequality multipliers are non-negative to 1e-12, and
-    breaks ties between them by the distance to the input; a candidate
-    with a negative multiplier is kept only when no KKT point is found.
-    Exact up to linear-solve rounding; an independent check for
-    :func:`project_to_classical` at small n.
+    A candidate fixes the tight ordering rows x_j >= x_{j+1}, which pool x
+    into blocks, whether the last block is held at 0, and whether the
+    halfspace a . x >= 0 (a the kernel ascending) is tight. A free block
+    sits at mean_b(r) + nu0 + nu1 mean_b(a); the trace and the tight
+    halfspace fix nu0 and nu1 by a 2x2 solve. It is singular only when a
+    has one mean on every free block, and then the candidate without the
+    halfspace stands in. The partial sums of x_j - r_j - nu0 - nu1 a_j are
+    the ordering and sign multipliers. The exact KKT test asks for ordered
+    blocks with the last >= 0, a . x >= 0, nu1 >= 0 and no negative partial
+    sum. The problem is strictly convex, so the first candidate to pass is
+    the projection. In `mask`, bit j of 0 < j < n ends a block after entry
+    j, bit 0 holds the last block at 0 and bit n frees the halfspace, so
+    the candidates with the halfspace tight, where nonclassical states
+    project to, come first.
     """
-    import numpy as np
+    from fractions import Fraction
 
     n = r.n
     if kernel.n != n:
         raise DimensionMismatch(f"spectrum n={n} vs kernel n={kernel.n}")
     if n > 8:
         raise DimensionMismatch("the exhaustive projector supports n <= 8")
-    target = r.as_array()
-    rows = np.zeros((n + 1, n))
-    for i in range(n - 1):
-        rows[i, i], rows[i, i + 1] = 1.0, -1.0
-    rows[n - 1, n - 1] = 1.0
-    rows[n] = kernel.values[::-1]
-    ones = np.ones(n)
-
-    best = None
-    best_key = (True, math.inf)
-    for mask in range(1 << (n + 1)):
-        active = [k for k in range(n + 1) if mask >> k & 1]
-        c = np.vstack([ones[None, :], rows[active]])
-        d = np.zeros(len(active) + 1)
-        d[0] = 1.0
-        m = c @ c.T
-        rhs = c @ target - d
-        try:
-            nu = np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError:
-            nu = np.linalg.lstsq(m, rhs, rcond=None)[0]
-        x = target - c.T @ nu
-        if abs(float(ones @ x) - 1.0) > 1e-9:
+    r_q = [Fraction(v) for v in r.values]
+    a_q = [Fraction(v) for v in kernel.values[::-1]]
+    pr, pa = [0, *accumulate(r_q)], [0, *accumulate(a_q)]
+    for mask in range(2 << n):
+        tight, zero = not mask >> n & 1, mask & 1
+        ends = [j for j in range(1, n) if mask >> j & 1] + [n]
+        spans = list(zip([0, *ends], ends))[: len(ends) - zero]
+        if not spans:
             continue
-        if float(np.min(rows @ x)) < -1e-12:
+        size = spans[-1][1]
+        sums = [(pr[e] - pr[s], pa[e] - pa[s], e - s) for s, e in spans]
+        nu1 = 0
+        if tight:
+            det = size * sum(s_a * s_a / k for _, s_a, k in sums) - pa[size] ** 2
+            if det == 0:
+                continue
+            s_ar = sum(s_r * s_a / k for s_r, s_a, k in sums)
+            nu1 = -(size * s_ar + pa[size] * (1 - pr[size])) / det
+        z = [(s_r + nu1 * s_a) / k for s_r, s_a, k in sums]
+        if nu1 < 0 or not all(map(operator.ge, z, z[1:])):
             continue
-        # x = target + sum of mu_k rows_k over the active rows, mu = -nu[1:]:
-        # a KKT point has mu >= 0; a feasible candidate with a negative
-        # multiplier loses to any KKT candidate, however close it lies
-        key = (bool(np.any(nu[1:] > 1e-12)), float(np.sum((x - target) ** 2)))
-        if key < best_key:
-            best_key = key
-            best = x
-    if best is None:
-        raise InfeasibleModel("no feasible active set found")
-    return Spectrum(tuple(float(v) for v in best))
+        nu0 = (1 - pr[size] - nu1 * pa[size]) / size
+        x = [v + nu0 for v, (s, e) in zip(z, spans) for _ in range(s, e)] + [0] * (n - size)
+        if x[size - 1] < 0 or not tight and sum(map(operator.mul, x, a_q)) < 0:
+            continue
+        if min(accumulate(v - w - nu0 - nu1 * b for v, w, b in zip(x, r_q, a_q))) >= 0:
+            return Spectrum(tuple(map(float, x)))
+    raise InfeasibleModel("no candidate passes the KKT test")

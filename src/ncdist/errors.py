@@ -38,4 +38,4 @@ class MasterEquationViolated(NcdistError):
 
 
 class InfeasibleModel(NcdistError):
-    """Exhaustive active-set search produced no feasible candidate."""
+    """Exhaustive active-set search: no candidate passes the KKT test."""

@@ -182,7 +182,7 @@ def _hypot(x, y):
     return h + resid / (2.0 * h + (h == 0.0))
 
 
-def _cut_projection(xi3, xi8, zeta: float):
+def _cut_projection(xi3, xi8, zeta: float, beyond=None):
     """Region code, nearest classical point, chart-plane distance and line
     coordinate p of chamber points, for a validated zeta.
 
@@ -194,12 +194,18 @@ def _cut_projection(xi3, xi8, zeta: float):
     s_R = -tan(zeta)/4 to s_Q = tan(pi/3 - zeta)/4. The distance is 0 for
     p <= 1/4 and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) otherwise.
     Boundary ties resolve to OQR on the line, AQT at Q and BRS at R.
+    `beyond` marks the points past the line. By default it is the
+    chart-plane test p > 1/4 + OQR_TOL, which rounds differently from the
+    floor at the seam; a caller that decided classicality from the floor
+    passes its verdict instead, and a nonclassical point then gets its band
+    label under the same tie rule.
 
     The pieces are selected by multiplying with the 0/1 masks `inside`,
-    `beyond`, `aqt`, `brs` and `band` (comparison results, one of aqt, brs
-    and band true at each point), not by branching. Multiplying a finite
-    float by 0 or 1 and adding 0 is exact, so the same operations serve
-    Python floats and arrays and give bit-identical results for both.
+    `beyond`, `aqt`, `brs` and `band` (comparison results or their
+    complement, one of aqt, brs and band true at each point), not by
+    branching. Multiplying a finite float by 0 or 1 and adding 0 is exact,
+    so the same operations serve Python floats and arrays and give
+    bit-identical results for both.
     """
     ang = zeta + math.pi / 6.0
     cos_a, sin_a = math.cos(ang), math.sin(ang)
@@ -207,8 +213,9 @@ def _cut_projection(xi3, xi8, zeta: float):
     s_r = -0.25 * math.tan(zeta)
     p = xi3 * cos_a + xi8 * sin_a
     s = xi8 * cos_a - xi3 * sin_a
-    inside = p <= 0.25 + OQR_TOL
-    beyond = p > 0.25 + OQR_TOL
+    if beyond is None:
+        beyond = p > 0.25 + OQR_TOL
+    inside = 1 - beyond
     aqt = s >= s_q - _TIE_TOL
     brs = s <= s_r + _TIE_TOL
     band = (s < s_q - _TIE_TOL) & (s > s_r + _TIE_TOL)

@@ -1,7 +1,7 @@
 """Names the benchmark harness in perfbench/ looks up in the package,
 validation that does not rest on `assert` (stripped under `python -O`),
-numpy imported only inside the functions that run array code, and type
-hints that resolve without it.
+numpy and fractions imported only inside the functions that use them, and
+type hints that resolve without them.
 
 The harness files are only read here, never imported or changed.
 """
@@ -102,18 +102,27 @@ def _import_time_nodes(tree: ast.Module):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _imports_numpy(node) -> bool:
+#: modules the short `nc` commands must not load: numpy for the array code,
+#: fractions for the rational oracle
+_LAZY_MODULES = {"numpy", "fractions"}
+
+
+def _imports_lazy_module(node) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        return any(alias.name.split(".")[0] in _LAZY_MODULES for alias in node.names)
+    return (
+        isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] in _LAZY_MODULES
+    )
 
 
 def test_package_imports_numpy_only_inside_functions():
+    """Neither numpy nor fractions is imported at module level."""
     found = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in _import_time_nodes(ast.parse(path.read_text()))
-        if _imports_numpy(node)
+        if _imports_lazy_module(node)
     ]
     assert found == []
 

@@ -427,8 +427,9 @@ def test_non_finite_input_exits_two(tmp_path, flags):
 
 def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     """Importing the package and the CLI, and commands that run no array
-    code, start without numpy. Runs in a child process, because the test
-    suite itself imports numpy."""
+    code, start without numpy, and without fractions, which only the
+    oracle uses. Runs in a child process, because the test suite itself
+    imports numpy."""
     s3 = write_state(tmp_path, "s3.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
     s8 = write_state(
         tmp_path, "s8.json", {"n": 8, "spectrum": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]}
@@ -444,7 +445,7 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         "import ncdist\n"
         "import ncdist.cli\n"
         f"codes = [ncdist.cli.main(argv) for argv in {commands!r}]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        "print(codes, 'numpy' in sys.modules, 'fractions' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -454,7 +455,7 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

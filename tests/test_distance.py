@@ -442,13 +442,40 @@ class TestBruteforceProject:
         )
 
     def test_matches_projector_at_nearly_degenerate_kernel(self):
-        """Near zeta = 0 the active-set solve is nearly singular; the
-        inequality slack must not admit an infeasible, closer candidate."""
-        r = Spectrum((0.9127848, 0.0436076, 0.0436076))
-        k = qutrit_kernel(1e-9)
-        assert bruteforce_project(r, k).values == pytest.approx(
-            project_to_classical(r, k).values, abs=1e-14
-        )
+        """Near-singular and singular active-set solves. Near zeta = 0 the
+        inequality slack of a floating-point oracle admitted an infeasible,
+        closer candidate. The triple-degenerate n = 4 kernel pooled x2 = x3
+        and landed 9.6e-13 off. At zeta = 0 the answer is a single free block,
+        whose 2x2 solve is singular, and a floating-point solve put -1.7e-17
+        in place of its zero."""
+        cases = [
+            ((0.9127848, 0.0436076, 0.0436076), qutrit_kernel(1e-9), None),
+            (
+                (0.9999999999975858, 2.1649878121222725e-12, 2.4921185742063285e-13,
+                 3.2362404234351486e-21),
+                KernelSpectrum((0.8090169943749475,) * 3 + (-1.4270509831248424,)),
+                (0.36180339887498947, 0.21273220037636376, 0.21273220037444798,
+                 0.21273220037419877),
+            ),
+            ((0.5 + 2e-12, 0.5 - 1e-12, -1e-12), qutrit_kernel(0.0), (0.5, 0.5, 0.0)),
+        ]
+        for values, k, exact in cases:
+            r = Spectrum(values)
+            got = bruteforce_project(r, k)
+            assert got.values == pytest.approx(project_to_classical(r, k).values, abs=1e-15)
+            if exact is not None:
+                assert bits(got.values) == bits(exact)
+
+    def test_sign_row_holds_the_last_entry_at_zero(self):
+        """A classical state just past the chamber edge, r4 = -1e-12, lies
+        outside the polytope by the sign row alone: its projection holds
+        r4 at 0 and spreads the excess over the rest. project_to_classical
+        returns it unchanged, as classical within tolerance."""
+        r = Spectrum((0.34, 0.33 + 1e-12, 0.33, -1e-12))
+        k = KernelSpectrum((0.8090169943749475,) * 3 + (-1.4270509831248424,))
+        got = bruteforce_project(r, k).values
+        assert got[-1] == 0.0
+        assert got[:3] == pytest.approx([v - 1e-12 / 3 for v in r.values[:3]], abs=1e-15)
 
     def test_picks_the_kkt_candidate_at_a_rounding_tie(self):
         """Near zeta = 0 the corner R and the band foot lie at squared
@@ -457,10 +484,16 @@ class TestBruteforceProject:
         r = Spectrum((0.9999999988682899, 1.1232692108667924e-09, 8.440848132354456e-12))
         k = KernelSpectrum((1.0000000000000486, 0.9999999999999515, -1.0))
         assert bruteforce_project(r, k).values == pytest.approx(
-            project_to_classical(r, k).values, abs=1e-12
+            project_to_classical(r, k).values, abs=1e-15
         )
 
     def test_oracle_equivalence_across_dimensions(self):
+        """Distances agree to 1e-14 on random states. Agreement at this level
+        needs nonclassical inputs, floor < -1e-12, or classical ones: for a
+        floor in [-1e-12, 0) project_to_classical returns r unchanged while
+        the oracle still projects, so at qutrit_kernel(1e-13) and
+        r = (0.5, 0.5, 0) the two lie 5.8e-14 apart. Random spectra do not
+        land in that sliver."""
         rng = np.random.default_rng(55)
         for n in (2, 3, 4, 5):
             for _ in range(50):
@@ -468,7 +501,7 @@ class TestBruteforceProject:
                 k = random_kernel(n, int(rng.integers(0, 1 << 30)))
                 d1 = frobenius_gap(r, project_to_classical(r, k))
                 d2 = frobenius_gap(r, bruteforce_project(r, k))
-                assert abs(d1 - d2) <= 1e-8
+                assert abs(d1 - d2) <= 1e-14
 
 
 class TestDistanceGeneral:
@@ -551,6 +584,36 @@ class TestDistanceGeneral:
             cur = qutrit_distance(c, i * h).distance_paper
             assert abs(cur - prev) <= 10 * h
             prev = cur
+
+    def test_nonclassical_seam_state_is_not_oqr(self):
+        """The floor, just below -1e-12, decides that this state is not
+        classical, while the chart-plane test p <= 1/4 + OQR_TOL, rounded
+        differently, places it on the classical side of the cut line. The
+        label follows the floor: the band position, under the Q/R tie
+        rule."""
+        r = Spectrum((0.4540878927130961, 0.37376698805893516, 0.17214511922796888))
+        res = distance_general(r, qutrit_kernel(0.6545984418925018))
+        assert not res.classical
+        assert res.region is Region.QRST
+
+    def test_seam_labels_follow_the_classical_flag(self):
+        """States whose floor lies within a few ulps of -1e-12, placed along
+        the cut segment at random zeta: OQR exactly when classical."""
+        rng = np.random.default_rng(61)
+        flags = set()
+        for _ in range(2000):
+            z = float(rng.random()) * ZETA_MAX
+            ang = z + math.pi / 6.0
+            s_q, s_r = 0.25 * math.tan(ZETA_MAX - z), -0.25 * math.tan(z)
+            s = s_r + (s_q - s_r) * float(rng.random())
+            # floor = 1/3 - (4/3) p, so p = 1/4 + 0.75e-12 is the seam
+            p = 0.25 + 0.75e-12 + 2e-16 * float(rng.standard_normal())
+            c = QutritChart(p * math.cos(ang) - s * math.sin(ang),
+                            p * math.sin(ang) + s * math.cos(ang))
+            res = distance_general(spectrum_from_chart(c), qutrit_kernel(z))
+            assert (res.region is Region.OQR) == res.classical
+            flags.add(res.classical)
+        assert flags == {True, False}
 
     def test_region_consistency_between_paths(self):
         rng = np.random.default_rng(60)
