@@ -11,18 +11,11 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import (
-    QutritChart,
-    Spectrum,
-    chart_from_spectrum,
-    conversion_factor,
-    require_chamber,
-    spectrum_from_chart,
-)
+from .core import QutritChart, Spectrum, conversion_factor, require_chamber, spectrum_from_chart
 from .errors import DimensionMismatch, InfeasibleModel
-from .geometry import REGIONS, Region, _cut_projection
-from .kernel import KernelSpectrum, check_zeta, zeta_from_kernel
-from .wigner import CLASSICAL_TOL, is_classical, wigner_floor
+from .geometry import REGIONS, Region, _band_region, _cut_projection
+from .kernel import KernelSpectrum, check_zeta
+from .wigner import CLASSICAL_TOL, wigner_floor
 
 
 @dataclass(frozen=True)
@@ -49,6 +42,12 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     band QRST; distance to the endpoint Q or R beyond the band. Values are
     Euclidean in the chart plane, which is the PAPER convention; the
     FROBENIUS value is the same number scaled by sqrt(2/3).
+
+    `classical` is the chart-plane test p <= 1/4 + 0.75e-12. Its floor
+    1/3 - (4/3) p is within 1e-15 of :func:`wigner_floor`, so it can differ
+    from :func:`distance_general` only at the -1e-12 seam: the spectrum
+    (0.4540878927130961, 0.37376698805893516, 0.17214511922796888) at zeta
+    0.6545984418925018 has floor -0.99992e-12 here, -1.00008e-12 there.
     """
     z = check_zeta(zeta)
     require_chamber(c)
@@ -261,16 +260,10 @@ def project_to_classical(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
     """Euclidean projection of an ordered spectrum onto the classical set.
 
     The classical set is the chamber cut by the floor >= 0 halfspace, whose
-    normal is the kernel in ascending order. The nearest point is found by
-    an exact multiplier search over that one halfspace, so its floor is
-    zero to rounding. A spectrum that :func:`is_classical` admits, as
-    :func:`distance_general` does, is returned unchanged.
+    normal is the kernel in ascending order. This is the nearest point of
+    :func:`distance_general`, so a classical spectrum is returned unchanged.
     """
-    if r.n != kernel.n:
-        raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
-    if is_classical(r, kernel):
-        return r
-    return Spectrum(tuple(_project_cut(r.values, kernel.values[::-1])))
+    return distance_general(r, kernel).nearest
 
 
 def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
@@ -278,9 +271,9 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
 
     Classical states (floor >= -1e-12) report distance zero and themselves
     as nearest point; everything else is projected onto the positivity
-    polytope. Agrees with :func:`qutrit_distance` for n = 3, whose closed
-    form labels the region of a nonclassical qutrit by its band position:
-    the label follows the floor's verdict, so only a classical state is OQR.
+    polytope. For n = 3 only a classical state is OQR; a nonclassical one
+    takes the region of its nearest point under the closed form's tie rule:
+    AQT within 1e-12 of Q along the cut segment, BRS within 1e-12 of R.
     """
     if r.n != kernel.n:
         raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
@@ -296,12 +289,7 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
         )
     region = None
     if r.n == 3:
-        if classical:
-            region = Region.OQR
-        else:
-            c = chart_from_spectrum(r)
-            code = _cut_projection(c.xi3, c.xi8, zeta_from_kernel(kernel), beyond=True)[0]
-            region = REGIONS[code]
+        region = Region.OQR if classical else _band_region(nearest.values, kernel.values[::-1])
     return IndicatorResult(
         distance_paper=d_frob * conversion_factor(r.n),
         distance_frobenius=d_frob,

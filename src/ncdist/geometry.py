@@ -182,7 +182,7 @@ def _hypot(x, y):
     return h + resid / (2.0 * h + (h == 0.0))
 
 
-def _cut_projection(xi3, xi8, zeta: float, beyond=None):
+def _cut_projection(xi3, xi8, zeta: float):
     """Region code, nearest classical point, chart-plane distance and line
     coordinate p of chamber points, for a validated zeta.
 
@@ -194,11 +194,6 @@ def _cut_projection(xi3, xi8, zeta: float, beyond=None):
     s_R = -tan(zeta)/4 to s_Q = tan(pi/3 - zeta)/4. The distance is 0 for
     p <= 1/4 and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) otherwise.
     Boundary ties resolve to OQR on the line, AQT at Q and BRS at R.
-    `beyond` marks the points past the line. By default it is the
-    chart-plane test p > 1/4 + OQR_TOL, which rounds differently from the
-    floor at the seam; a caller that decided classicality from the floor
-    passes its verdict instead, and a nonclassical point then gets its band
-    label under the same tie rule.
 
     The pieces are selected by multiplying with the 0/1 masks `inside`,
     `beyond`, `aqt`, `brs` and `band` (comparison results or their
@@ -213,8 +208,7 @@ def _cut_projection(xi3, xi8, zeta: float, beyond=None):
     s_r = -0.25 * math.tan(zeta)
     p = xi3 * cos_a + xi8 * sin_a
     s = xi8 * cos_a - xi3 * sin_a
-    if beyond is None:
-        beyond = p > 0.25 + OQR_TOL
+    beyond = p > 0.25 + OQR_TOL
     inside = 1 - beyond
     aqt = s >= s_q - _TIE_TOL
     brs = s <= s_r + _TIE_TOL
@@ -226,6 +220,20 @@ def _cut_projection(xi3, xi8, zeta: float, beyond=None):
         beyond * (0.25 * sin_a + s_near * cos_a) + inside * xi8,
     )
     return code, nearest, beyond * _hypot(p - 0.25, s - s_near), p
+
+
+def _band_region(x, a) -> Region:
+    """Region of a nonclassical qutrit from its nearest point x, for the
+    kernel a ascending, under the tie rule of :func:`_cut_projection`.
+    Along the cut segment x1 - x2 grows from 0 at Q by (2 a3 - a1 - a2) /
+    (2 sqrt 3) = (2/sqrt 3) sin(zeta + pi/6) per unit chart-plane length,
+    and x2 - x3 from 0 at R by (a2 + a3 - 2 a1) / (2 sqrt 3)."""
+    a1, a2, a3 = a
+    if x[0] - x[1] <= (2.0 * a3 - a1 - a2) / (2.0 * SQRT3) * _TIE_TOL:
+        return Region.AQT
+    if x[1] - x[2] <= (a2 + a3 - 2.0 * a1) / (2.0 * SQRT3) * _TIE_TOL:
+        return Region.BRS
+    return Region.QRST
 
 
 def classify_region(c: QutritChart, zeta: float) -> Region:

@@ -381,6 +381,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "ncdist", "kernel", "--n", "3", "--zeta", "0"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pi"] == [1.0, 1.0, -1.0]

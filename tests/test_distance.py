@@ -26,8 +26,9 @@ from ncdist import (
     spectrum_from_chart,
     wigner_floor,
 )
+from ncdist.core import chamber_mask
 from ncdist.distance import _evaluate, _full_pooling, _point_at, _pool, _project_cut
-from ncdist.geometry import REGIONS, _cut_projection
+from ncdist.geometry import _TIE_TOL, REGIONS, _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -587,10 +588,10 @@ class TestDistanceGeneral:
 
     def test_nonclassical_seam_state_is_not_oqr(self):
         """The floor, just below -1e-12, decides that this state is not
-        classical, while the chart-plane test p <= 1/4 + OQR_TOL, rounded
-        differently, places it on the classical side of the cut line. The
-        label follows the floor: the band position, under the Q/R tie
-        rule."""
+        classical, although the chart-plane test p <= 1/4 + OQR_TOL of
+        qutrit_distance, rounded differently, calls it classical. A
+        nonclassical state takes the region of its nearest point under the
+        Q/R tie rule, never OQR."""
         r = Spectrum((0.4540878927130961, 0.37376698805893516, 0.17214511922796888))
         res = distance_general(r, qutrit_kernel(0.6545984418925018))
         assert not res.classical
@@ -598,7 +599,8 @@ class TestDistanceGeneral:
 
     def test_seam_labels_follow_the_classical_flag(self):
         """States whose floor lies within a few ulps of -1e-12, placed along
-        the cut segment at random zeta: OQR exactly when classical."""
+        the cut segment at random zeta: OQR exactly when the floor says
+        classical, whatever the chart-plane test would say."""
         rng = np.random.default_rng(61)
         flags = set()
         for _ in range(2000):
@@ -616,10 +618,53 @@ class TestDistanceGeneral:
         assert flags == {True, False}
 
     def test_region_consistency_between_paths(self):
+        """The closed form and the projector agree on the region, on the
+        floor to 1e-15 and on the classical flag: uniform chart points and
+        Dirichlet alpha = 0.05 spectra, at random zeta and at 0 and pi/3.
+        The closed form's floor 1/3 - (4/3) p was measured within 4.4e-16 of
+        wigner_floor over 60k seeded states, so the flags can differ only
+        for a floor that close to -1e-12 (test_nonclassical_seam_state_is_not_oqr)."""
         rng = np.random.default_rng(60)
-        for _ in range(500):
-            c = random_chamber_chart(rng)
-            z = float(rng.random()) * ZETA_MAX
+        cases = [(random_chamber_chart(rng), float(rng.random()) * ZETA_MAX) for _ in range(500)]
+        for z in (0.0, ZETA_MAX):
+            cases += [(random_chamber_chart(rng), z) for _ in range(250)]
+        for z in (0.0, ZETA_MAX, None):
+            for _ in range(250):
+                r = Spectrum(tuple(float(x) for x in rng.dirichlet([0.05] * 3)))
+                cases.append((chart_from_spectrum(r), float(rng.random()) * ZETA_MAX if z is None else z))
+        for c, z in cases:
             closed = qutrit_distance(c, z)
             general = distance_general(spectrum_from_chart(c), qutrit_kernel(z))
             assert closed.region is general.region
+            assert abs(closed.floor - general.floor) <= 1e-15
+            assert closed.classical == general.classical
+
+    def test_region_tie_rule_on_the_general_path(self):
+        """distance_general reads a nonclassical qutrit's region off its
+        nearest point; it must agree with the closed form's tie rule, which
+        resolves a foot within _TIE_TOL of Q (a chart-plane length) to AQT
+        and within _TIE_TOL of R to BRS. Feet at (1 +- 0.01) _TIE_TOL inside
+        Q and R, at least 1e-3 past the cut line and inside the chamber (at
+        zeta = 0, Q is the corner A and has no such points), and near-pure
+        states, which land within ulps of R at zeta 0 and pi/3."""
+        rng = np.random.default_rng(62)
+        states = []
+        for z in [0.0, ZETA_MAX / 2, ZETA_MAX] + [float(v) * ZETA_MAX for v in rng.random(5)]:
+            ang = z + math.pi / 6.0
+            s_q, s_r = 0.25 * math.tan(ZETA_MAX - z), -0.25 * math.tan(z)
+            for t in (0.99 * _TIE_TOL, 1.01 * _TIE_TOL):
+                for s in (s_q - t, s_r + t):
+                    for p in 0.251 + 0.05 * rng.random(20):
+                        c = QutritChart(p * math.cos(ang) - s * math.sin(ang),
+                                        p * math.sin(ang) + s * math.cos(ang))
+                        if chamber_mask(c.xi3, c.xi8):
+                            states.append((spectrum_from_chart(c), z))
+        for z in (0.0, ZETA_MAX):
+            states += [(Spectrum(tuple(float(x) for x in rng.dirichlet([0.01] * 3))), z)
+                       for _ in range(500)]
+        seen = set()
+        for r, z in states:
+            general = distance_general(r, qutrit_kernel(z))
+            assert general.region is qutrit_distance(chart_from_spectrum(r), z).region
+            seen.add(general.region)
+        assert seen == {Region.AQT, Region.QRST, Region.BRS}
