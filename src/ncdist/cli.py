@@ -218,11 +218,15 @@ def _cmd_sample_min(args) -> int:
     return 0
 
 
-def _add_kernel_options(sub: argparse.ArgumentParser) -> None:
+def _add_zeta_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--zeta", type=float, help="qutrit moduli angle in radians")
     sub.add_argument(
         "--zeta-degrees", type=float, dest="zeta_degrees", help="moduli angle in degrees"
     )
+
+
+def _add_kernel_options(sub: argparse.ArgumentParser) -> None:
+    _add_zeta_options(sub)
     sub.add_argument("--pi", type=str, help="comma-separated kernel spectrum")
     sub.add_argument("--seed", type=int, help="seed (random kernel, or sampler seed)")
 
@@ -245,7 +249,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ind.set_defaults(func=_cmd_indicator)
 
     p_scan = sub.add_parser("scan", help="grid scan of the qutrit chamber to CSV")
-    _add_kernel_options(p_scan)
+    _add_zeta_options(p_scan)
     p_scan.add_argument("--resolution", type=int, required=True)
     p_scan.add_argument("--output", type=str, required=True, help="CSV output path")
     p_scan.add_argument(

@@ -72,19 +72,20 @@ class QutritChart:
         object.__setattr__(self, "xi8", float(self.xi8))
 
 
-def chamber_mask(xi3, xi8, tol: float = CHAMBER_TOL):
+def chamber_mask(xi3, xi8):
     """Chamber membership of chart points, for floats or arrays of one shape.
 
     xi3 >= 0 and xi8 >= xi3 / sqrt(3) read r1 >= r2 and r2 >= r3, within
-    tol. The upper bound reads r3 >= -tol and is computed as
+    CHAMBER_TOL. The upper bound reads r3 >= -CHAMBER_TOL and is computed as
     :func:`chart_from_spectrum` computes xi8 = (1 - 3 r3) / 2, so the chart
     of every spectrum Spectrum admits (r3 >= -1e-12) passes it.
     """
+    tol = CHAMBER_TOL
     return (xi3 >= -tol) & (xi8 >= xi3 / SQRT3 - tol) & (xi8 <= (1.0 + 3.0 * tol) / 2.0)
 
 
-def require_chamber(c: QutritChart, tol: float = CHAMBER_TOL) -> None:
-    if not chamber_mask(c.xi3, c.xi8, tol):
+def require_chamber(c: QutritChart) -> None:
+    if not chamber_mask(c.xi3, c.xi8):
         raise OutOfChamber(
             f"chart point ({c.xi3}, {c.xi8}) lies outside the chamber triangle"
         )

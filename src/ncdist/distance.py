@@ -275,8 +275,6 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
     takes the region of its nearest point under the closed form's tie rule:
     AQT within 1e-12 of Q along the cut segment, BRS within 1e-12 of R.
     """
-    if r.n != kernel.n:
-        raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
     floor = wigner_floor(r, kernel)
     classical = floor >= -CLASSICAL_TOL
     if classical:

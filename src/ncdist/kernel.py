@@ -65,7 +65,7 @@ def check_zeta(zeta: float) -> float:
     decimal renditions of pi/3 do not get rejected.
     """
     z = float(zeta)
-    if z < -ZETA_SLACK or z > ZETA_MAX + ZETA_SLACK:
+    if not -ZETA_SLACK <= z <= ZETA_MAX + ZETA_SLACK:
         raise ModuliOutOfRange(f"zeta={z} outside [0, {ZETA_MAX}]")
     return min(max(z, 0.0), ZETA_MAX)
 

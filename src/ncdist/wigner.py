@@ -1,5 +1,6 @@
 """Wigner-function values, the exact phase-space floor, the classicality
-predicate and a Monte-Carlo sampling oracle for the floor."""
+predicate and a Monte-Carlo sampling oracle for the floor, which draws its
+Haar unitaries in blocks of `_BLOCK`, each block from one Gaussian call."""
 
 from __future__ import annotations
 
@@ -14,11 +15,27 @@ from .kernel import KernelSpectrum
 CLASSICAL_TOL = 1e-12
 
 _IMAG_TOL = 1e-10
-#: Haar draws per standard_normal block, and matrices per QR and einsum
-#: call; slicing a block bounds the arrays alive at once without
-#: changing the draws
-_CHUNK = 32768
-_SLICE = 4096
+#: Haar draws per Gaussian call, and matrices per QR and einsum call
+_BLOCK = 4096
+
+
+def _real(vals):
+    """Real part of numpy Wigner values, after checking that their
+    imaginary residue is below _IMAG_TOL; a NaN residue fails the check."""
+    imag = float(abs(vals.imag).max())
+    if not imag < _IMAG_TOL:
+        raise NonHermitian(f"trace has imaginary residue {imag:.3e}")
+    return vals.real
+
+
+def _haar(z):
+    """Haar unitaries from complex Gaussian matrices of shape (..., n, n):
+    QR, with the phases of each R diagonal folded back into its Q."""
+    import numpy as np
+
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
@@ -34,10 +51,7 @@ def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
             f"state {rho_arr.shape}, unitary {u_arr.shape} and kernel n={n} disagree"
         )
     delta = (u_arr * kernel.as_array()) @ u_arr.conj().T
-    val = complex(np.trace(rho_arr @ delta))
-    if abs(val.imag) >= _IMAG_TOL:
-        raise NonHermitian(f"trace has imaginary residue {val.imag:.3e}")
-    return val.real
+    return float(_real(np.trace(rho_arr @ delta)))
 
 
 def wigner_floor(r: Spectrum, kernel: KernelSpectrum) -> float:
@@ -59,17 +73,9 @@ def is_classical(r: Spectrum, kernel: KernelSpectrum) -> bool:
 
 def haar_unitary(n: int, rng: Any) -> Any:
     """Haar-distributed n x n unitary, as a complex numpy array, drawn from
-    the numpy Generator rng.
-
-    QR decomposition of a complex Gaussian matrix, with the phases of the
-    R diagonal folded back into Q.
-    """
-    import numpy as np
-
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    the numpy Generator rng, which draws the real parts, then the
+    imaginary parts."""
+    return _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
@@ -78,7 +84,8 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
 
     The candidate set always contains the identity and the eigenbasis
     unitary that realizes the opposite-order pairing, so the analytic floor
-    is reached regardless of the sample budget. Deterministic per seed.
+    is reached regardless of the sample budget. Deterministic per seed;
+    each block of `_BLOCK` Haar draws comes from one Gaussian call.
     """
     import numpy as np
 
@@ -97,20 +104,9 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     best = min(best, wigner_value(rho_arr, vecs, kernel))
 
     rng = np.random.Generator(np.random.Philox(seed))
-    remaining = samples
-    while remaining > 0:
-        count = min(remaining, _CHUNK)
-        remaining -= count
-        z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal(
-            (count, n, n)
-        )
-        for start in range(0, count, _SLICE):
-            q, r = np.linalg.qr(z[start : start + _SLICE])
-            d = np.einsum("...ii->...i", r)
-            u = q * (d / np.abs(d))[:, None, :]
-            vals = np.einsum("bik,ij,bjk,k->b", u.conj(), rho_arr, u, pi, optimize=True)
-            imag = float(np.max(np.abs(vals.imag)))
-            if imag >= _IMAG_TOL:
-                raise NonHermitian(f"sampled trace has imaginary residue {imag:.3e}")
-            best = min(best, float(np.min(vals.real)))
+    for start in range(0, samples, _BLOCK):
+        count = min(_BLOCK, samples - start)
+        u = _haar(rng.standard_normal((count, n, n, 2)).view(complex)[..., 0])
+        vals = np.einsum("bik,ij,bjk,k->b", u.conj(), rho_arr, u, pi, optimize=True)
+        best = min(best, float(np.min(_real(vals))))
     return best

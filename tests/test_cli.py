@@ -289,11 +289,23 @@ class TestScanCommand:
 
     def test_invalid_zeta_leaves_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
+        for zeta in ("2", "nan"):
+            code, _, err = run_cli(
+                capsys, "scan", "--zeta", zeta, "--resolution", "5", "--output", str(out_path)
+            )
+            assert code == 2, zeta
+            assert "zeta" in err, zeta
+            assert not out_path.exists(), zeta
+
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--pi", "1,1,-1"]])
+    def test_takes_only_the_angle(self, capsys, tmp_path, option):
+        out_path = tmp_path / "x.csv"
         code, _, err = run_cli(
-            capsys, "scan", "--zeta", "2", "--resolution", "5", "--output", str(out_path)
+            capsys, "scan", "--zeta", "0", *option, "--resolution", "5",
+            "--output", str(out_path),
         )
         assert code == 2
-        assert "zeta" in err
+        assert option[0] in err
         assert not out_path.exists()
 
     def test_unwritable_output(self, capsys, tmp_path):
@@ -393,9 +405,16 @@ def test_non_finite_input_exits_two(tmp_path, flags):
     not be an assert, which -O strips. Non-finite matrix entries are
     rejected before numpy's eigensolver can warn or fail on them."""
     state = write_state(tmp_path, "nan.json", {"n": 4, "spectrum": [math.nan, 0.5, 0.25, 0.25]})
+    csv = tmp_path / "nan.csv"
     runs = [
         (["kernel", "--n", "3", "--pi", "nan,nan,nan"], "error: "),
         (["indicator", "--state", state, "--seed", "3"], "error: "),
+        (["kernel", "--n", "3", "--zeta", "nan"], "error: zeta=nan outside"),
+        (["scan", "--zeta", "nan", "--resolution", "4", "--output", str(csv)], "error: zeta=nan"),
+        (
+            ["scan", "--zeta-degrees", "nan", "--resolution", "4", "--output", str(csv)],
+            "error: zeta=nan",
+        ),
     ]
     for name, (i, j, value) in {
         "nan_diagonal": (0, 0, math.nan),
@@ -424,6 +443,7 @@ def test_non_finite_input_exits_two(tmp_path, flags):
         assert proc.stdout == ""
         assert proc.stderr.startswith(prefix), proc.stderr
         assert "Warning" not in proc.stderr
+    assert not csv.exists()
 
 
 def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_chamber_chart, random_spectrum
 from ncdist import (
+    DimensionMismatch,
     KernelSpectrum,
     OutOfChamber,
     QutritChart,
@@ -511,6 +512,10 @@ class TestDistanceGeneral:
             res = distance_general(Spectrum((1.0 / n,) * n), random_kernel(n, n))
             assert res.distance_paper == 0.0
             assert res.classical
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            distance_general(Spectrum((0.7, 0.2, 0.1)), random_kernel(4, 0))
 
     def test_qutrit_band_example(self):
         res = distance_general(Spectrum((0.7, 0.2, 0.1)), qutrit_kernel(0.0))

@@ -30,7 +30,7 @@ class TestQutritKernel:
         expected = ((1 + 2 * SQRT3) / 3, 1 / 3, (1 - 2 * SQRT3) / 3)
         assert qutrit_kernel(math.pi / 6).values == pytest.approx(expected, abs=1e-15)
 
-    @pytest.mark.parametrize("zeta", [-0.001, ZETA_MAX + 0.001, 2.0])
+    @pytest.mark.parametrize("zeta", [-0.001, ZETA_MAX + 0.001, 2.0, math.nan])
     def test_out_of_range(self, zeta):
         with pytest.raises(ModuliOutOfRange):
             qutrit_kernel(zeta)

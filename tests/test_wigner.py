@@ -7,6 +7,7 @@ import pytest
 from conftest import random_chamber_chart, random_density_matrix, random_spectrum
 from ncdist import (
     DimensionMismatch,
+    NonHermitian,
     Spectrum,
     chart_from_spectrum,
     haar_unitary,
@@ -20,8 +21,11 @@ from ncdist import (
     wigner_floor,
     wigner_value,
 )
+from ncdist.wigner import _BLOCK, _haar
 
 ZETA_MAX = math.pi / 3.0
+#: sample counts on both sides of the sampler's block boundaries
+BLOCK_EDGES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
 
 
 def dense_pairing(rho, u, pi):
@@ -74,6 +78,22 @@ class TestWignerValue:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             wigner_value(np.eye(3) / 3, np.eye(3), random_kernel(4, 0))
+
+    def test_nan_residue_is_rejected(self):
+        with pytest.raises(NonHermitian):
+            wigner_value(np.full((3, 3), math.nan), np.eye(3), qutrit_kernel(0.3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_haar_stack_matches_single_matrices(n):
+    """A block of Haar unitaries is, bit for bit, the unitaries of its
+    matrices taken one at a time, so sampled_min's blocks and haar_unitary
+    are one sampler."""
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((9, n, n, 2)).view(complex)[..., 0]
+    stack = _haar(z)
+    for i in range(len(z)):
+        assert stack[i].tobytes() == _haar(z[i]).tobytes()
 
 
 class TestWignerFloor:
@@ -171,17 +191,19 @@ class TestSampledMin:
 
     def test_never_beats_floor(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            rho = random_density_matrix(rng, n)
-            k = random_kernel(n, int(rng.integers(0, 1 << 30)))
-            floor = wigner_floor(spectrum_from_matrix(rho), k)
-            assert sampled_min(rho, k, 200, 3) >= floor - 1e-9
+        for samples in BLOCK_EDGES:
+            for _ in range(20):
+                n = int(rng.integers(2, 5))
+                rho = random_density_matrix(rng, n)
+                k = random_kernel(n, int(rng.integers(0, 1 << 30)))
+                floor = wigner_floor(spectrum_from_matrix(rho), k)
+                assert sampled_min(rho, k, samples, 3) >= floor - 1e-9, samples
 
     def test_deterministic_per_seed(self):
         rho = random_density_matrix(np.random.default_rng(10), 3)
         k = qutrit_kernel(0.9)
-        assert sampled_min(rho, k, 500, 7) == sampled_min(rho, k, 500, 7)
+        for samples in BLOCK_EDGES:
+            assert sampled_min(rho, k, samples, 7) == sampled_min(rho, k, samples, 7), samples
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
