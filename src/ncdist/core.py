@@ -118,7 +118,7 @@ def metric_convert(
 ) -> float:
     """Convert a distance value between the two conventions."""
     factor = conversion_factor(n)
-    if d < 0:
+    if not d >= 0:
         raise ValueError("distances are non-negative")
     if source == target:
         return float(d)

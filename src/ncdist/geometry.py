@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .core import (
     SQRT3,
@@ -28,8 +29,6 @@ OQR_TOL = 0.75 * CLASSICAL_TOL
 #: on the distance, so the label is a reporting choice)
 _TIE_TOL = 1e-12
 
-_VERTEX_GAP = 1e-9
-
 
 class Region(Enum):
     """Qutrit chamber regions, named by the anchor points bounding them."""
@@ -50,7 +49,9 @@ class Polytope:
     by the halfspace wigner_floor >= 0.
 
     Vertices are stored in a deterministic order: by chart coordinates for
-    qutrits, lexicographically otherwise.
+    qutrits, lexicographically otherwise. Each coordinate is the exact cut
+    of the float kernel, correctly rounded, so it does not depend on the
+    BLAS build.
     """
 
     n: int
@@ -79,38 +80,35 @@ def positivity_polytope(kernel: KernelSpectrum) -> Polytope:
     """Cut the ordered-simplex chamber with the positivity halfspace.
 
     The chamber simplex has vertices v_k = (1/k, ..., 1/k, 0, ..., 0) for
-    k = 1..n. A single halfspace cut keeps the satisfying vertices and adds
-    one vertex per edge whose endpoints fall on strictly opposite sides.
-    The result is never empty: the barycenter has floor 1/n.
+    k = 1..n. The cut keeps the vertices with floor >= -CLASSICAL_TOL and
+    adds one vertex per edge whose end floors lie below -CLASSICAL_TOL and
+    above CLASSICAL_TOL. The result is never empty: the barycenter has
+    floor 1/n.
+
+    Scaled by their largest denominator, a power of two, the kernel and the
+    tolerance are integers, and so are the prefix sums s_k = k floor(v_k).
+    The cut on the edge v_k v_l (k < l) is (s_k - s_l) / den in entries
+    1..k and s_k / den in entries k+1..l, with den = l s_k - k s_l != 0.
+    So each coordinate is the exact cut, correctly rounded by one integer
+    division, with no numpy or BLAS.
     """
-    import numpy as np
-
     n = kernel.n
-    chamber = [
-        np.array([1.0 / k] * k + [0.0] * (n - k), dtype=float)
-        for k in range(1, n + 1)
-    ]
-    normal = np.array(kernel.values[::-1], dtype=float)
-    # the vertex floors stay numpy dot products, because the printed
-    # vertices depend on their rounding, and OpenBLAS's dot fuses
-    # multiply-adds.
-    # Over the chamber vertices of 900 random kernels (n = 2..16) and 3000
-    # qutrit angles, a left-to-right Python sum differs from `normal @ v`
-    # on 3648 of 17100 products and math.fsum on 4517; a chain of exact
-    # fused multiply-adds matches all 12900 at n <= 11
-    w = [float(normal @ v) for v in chamber]
+    ratios = [x.as_integer_ratio() for x in (CLASSICAL_TOL, *reversed(kernel.values))]
+    scale = max(d for _, d in ratios)
+    tol, *a = (p * (scale // d) for p, d in ratios)
+    sums = [0, *accumulate(a)]
+    # +1 above the band |floor| <= CLASSICAL_TOL, -1 below it, 0 inside
+    side = [(s > k * tol) - (s < -k * tol) for k, s in enumerate(sums)]
 
-    points = [v for v, wv in zip(chamber, w) if wv >= -CLASSICAL_TOL]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lo, hi = sorted((w[i], w[j]))
-            if lo < -CLASSICAL_TOL and hi > CLASSICAL_TOL:
-                t = w[i] / (w[i] - w[j])
-                cut = chamber[i] + t * (chamber[j] - chamber[i])
-                if all(float(np.linalg.norm(cut - p)) > _VERTEX_GAP for p in points):
-                    points.append(cut)
+    points = [(1.0 / k,) * k + (0.0,) * (n - k) for k in range(1, n + 1) if side[k] >= 0]
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            if side[k] * side[l] < 0:
+                den = l * sums[k] - k * sums[l]
+                head, tail = (sums[k] - sums[l]) / den, sums[k] / den
+                points.append((head,) * k + (tail,) * (l - k) + (0.0,) * (n - l))
 
-    vertices = [Spectrum(tuple(float(x) for x in p)) for p in points]
+    vertices = [Spectrum(p) for p in dict.fromkeys(points)]
     if n == 3:
         vertices.sort(key=lambda v: (chart_from_spectrum(v).xi3, chart_from_spectrum(v).xi8))
     else:

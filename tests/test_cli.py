@@ -14,6 +14,7 @@ from ncdist.core import chamber_mask
 
 SQRT3 = math.sqrt(3.0)
 PI_THIRD = "1.0471975511965976"
+QUBIT_PI = f"{(1 + SQRT3) / 2},{(1 - SQRT3) / 2}"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -27,6 +28,40 @@ def write_state(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+CHILD_SCRIPT = """
+import contextlib, io, json, sys, traceback, warnings
+from ncdist.cli import main
+warnings.simplefilter("always")
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = 1
+            err.write(traceback.format_exc())
+    results.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def run_in_one_child(flags, argvs):
+    """(exit code, stdout, stderr) of `ncdist.cli.main` on each argv, all in
+    one `python *flags` child: a fresh interpreter, as `-m ncdist` gets,
+    without one start-up per case. Every warning is shown, and an uncaught
+    exception becomes that call's traceback on stderr with code 1."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", CHILD_SCRIPT, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestKernelCommand:
@@ -334,8 +369,7 @@ class TestPolytopeCommand:
         )
 
     def test_qubit_segment(self, capsys):
-        pi_arg = f"{(1 + SQRT3) / 2},{(1 - SQRT3) / 2}"
-        code, out, _ = run_cli(capsys, "polytope", "--n", "2", "--pi", pi_arg)
+        code, out, _ = run_cli(capsys, "polytope", "--n", "2", "--pi", QUBIT_PI)
         assert code == 0
         data = json.loads(out)
         assert "chart_vertices" not in data
@@ -430,27 +464,21 @@ def test_non_finite_input_exits_two(tmp_path, flags):
         runs.append(
             (["indicator", "--state", path, "--zeta", "0"], "error: matrix entries must be finite")
         )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    for argv, prefix in runs:
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "ncdist", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr.startswith(prefix), proc.stderr
-        assert "Warning" not in proc.stderr
+    results = run_in_one_child(flags, [argv for argv, _ in runs])
+    for (argv, prefix), (code, out, err) in zip(runs, results, strict=True):
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert err.startswith(prefix), err
+        assert "Warning" not in err
     assert not csv.exists()
 
 
 def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     """Importing the package and the CLI, and commands that run no array
     code, start without numpy, and without fractions, which only the
-    oracle uses. Runs in a child process, because the test suite itself
-    imports numpy."""
+    oracle uses. These include `polytope` with `--zeta` or `--pi`, whose
+    vertices are integer arithmetic. Runs in a child process, because the
+    test suite itself imports numpy."""
     s3 = write_state(tmp_path, "s3.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
     s8 = write_state(
         tmp_path, "s8.json", {"n": 8, "spectrum": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]}
@@ -460,6 +488,8 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         ["indicator", "--state", s3, "--zeta", "0"],
         ["indicator", "--state", s8, "--pi", pi8],
         ["kernel", "--n", "3", "--zeta", "0"],
+        ["polytope", "--n", "3", "--zeta", "0"],
+        ["polytope", "--n", "2", "--pi", QUBIT_PI],
     ]
     script = (
         "import sys\n"
@@ -476,7 +506,7 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False False"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -498,17 +528,13 @@ def test_state_entries_must_be_json_numbers(tmp_path, flags):
         "ragged_matrix": {"n": 3, "matrix_re": [[0.5, 0.0, 0.0], [0.0, 0.3], [0.0, 0.0, 0.2]],
                           "matrix_im": zeros},
     }
-    env = dict(os.environ, PYTHONPATH=SRC)
-    for name, payload in payloads.items():
-        state = write_state(tmp_path, f"{name}.json", payload)
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "ncdist", "indicator", "--state", state, "--zeta", "0"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert proc.returncode == 2, (name, proc.stderr)
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: "), (name, proc.stderr)
-        assert "must be" in proc.stderr and "Traceback" not in proc.stderr
+    argvs = [
+        ["indicator", "--state", write_state(tmp_path, f"{name}.json", payload), "--zeta", "0"]
+        for name, payload in payloads.items()
+    ]
+    results = run_in_one_child(flags, argvs)
+    for name, (code, out, err) in zip(payloads, results, strict=True):
+        assert code == 2, (name, err)
+        assert out == ""
+        assert err.startswith("error: "), (name, err)
+        assert "must be" in err and "Traceback" not in err

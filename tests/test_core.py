@@ -199,8 +199,9 @@ class TestMetricConvert:
                 assert abs(back - d) <= 1e-15
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            metric_convert(-1.0, 3, MetricConvention.PAPER, MetricConvention.FROBENIUS)
+        for d in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                metric_convert(d, 3, MetricConvention.PAPER, MetricConvention.FROBENIUS)
 
     def test_rejects_dimension_one(self):
         with pytest.raises(DimensionMismatch):

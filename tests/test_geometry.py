@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +23,47 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_projection, _hypot
+from ncdist.wigner import CLASSICAL_TOL
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
+
+
+def exact_vertices(kernel) -> list[list[str]]:
+    """The polytope's vertices by the textbook construction in rational
+    arithmetic, each coordinate rounded once, as sorted float.hex lists:
+    the chamber vertices v_k with floor >= -CLASSICAL_TOL, plus
+    v_i + t (v_j - v_i) on each edge whose floors lie below -CLASSICAL_TOL
+    and above CLASSICAL_TOL."""
+    n = kernel.n
+    a = [Fraction(x) for x in reversed(kernel.values)]
+    tol = Fraction(CLASSICAL_TOL)
+    chamber = []
+    for k in range(1, n + 1):
+        chamber.append([Fraction(1, k)] * k + [Fraction(0)] * (n - k))
+    floors = []
+    for v in chamber:
+        w = Fraction(0)
+        for ai, vi in zip(a, v):
+            w += ai * vi
+        floors.append(w)
+    points = [v for v, w in zip(chamber, floors) if w >= -tol]
+    for i in range(n):
+        for j in range(i + 1, n):
+            wi, wj = floors[i], floors[j]
+            if min(wi, wj) < -tol and max(wi, wj) > tol:
+                t = wi / (wi - wj)
+                points.append([vi + t * (vj - vi) for vi, vj in zip(chamber[i], chamber[j])])
+    rounded = []
+    for p in points:
+        hexes = [float(x).hex() for x in p]
+        if hexes not in rounded:
+            rounded.append(hexes)
+    return sorted(rounded)
+
+
+def polytope_bits(kernel) -> list[list[str]]:
+    return sorted([x.hex() for x in v.values] for v in positivity_polytope(kernel).vertices)
 
 
 class TestPositivityPolytope:
@@ -53,6 +92,22 @@ class TestPositivityPolytope:
         assert charts[0] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert charts[1] == pytest.approx([0.0, 0.5], abs=1e-12)
         assert charts[2] == pytest.approx([SQRT3 / 8, 0.125], abs=1e-12)
+
+    def test_qutrit_at_zero_is_exact(self):
+        vertices = [v.values for v in positivity_polytope(qutrit_kernel(0.0)).vertices]
+        assert vertices == [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.5, 0.25, 0.25)]
+
+    def test_random_kernels_match_exact_reference(self):
+        for n in range(2, 13):
+            for seed in range(6):
+                k = random_kernel(n, 100 * n + seed)
+                assert polytope_bits(k) == exact_vertices(k), (n, seed)
+
+    def test_qutrit_angles_match_exact_reference(self):
+        zetas = [0.0, ZETA_MAX, *np.random.default_rng(35).uniform(0.0, ZETA_MAX, 200)]
+        for zeta in zetas:
+            k = qutrit_kernel(float(zeta))
+            assert polytope_bits(k) == exact_vertices(k), zeta
 
     def test_qubit_segment(self):
         k = kernel_from_spectrum(((1 + SQRT3) / 2, (1 - SQRT3) / 2), 2)
