@@ -89,7 +89,10 @@ def _numbers(value, what: str) -> list[float]:
     # bool is an int subclass, and float() would also take a numeric string
     if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
         raise ValueError(f"{what} must be a list of numbers")
-    return [float(v) for v in value]
+    try:
+        return [float(v) for v in value]
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{what} must be numbers within the float range") from None
 
 
 def _load_state(path: str) -> tuple[Spectrum, Any]:

@@ -1,14 +1,16 @@
 """The nonclassicality distance indicator: exact qutrit closed form, exact
 projection onto the positivity polytope for general dimension (a search for
 the multiplier of its one halfspace, floor >= 0, solved on its final linear
-piece, on pooled blocks), and an exact rational active-set oracle."""
+piece; each step pools r + lam a from the blocks of the step below it, with
+block sums read off prefix sums, and takes the simplex threshold on whole
+blocks), and an exact rational active-set oracle."""
 
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import QutritChart, Spectrum, conversion_factor, require_chamber, spectrum_from_chart
@@ -138,107 +140,151 @@ def project_halfspace(values: Sequence[float], normal: Sequence[float]) -> list[
 
 
 class _Point(NamedTuple):
-    """One evaluation of x(lam) and of the linear piece of g through it."""
+    """One evaluation of x(lam): the pooled blocks of r + lam a, as their
+    end indices and values, the simplex shift theta, and the linear piece
+    of g through it."""
 
     lam: float
-    x: list[float]
+    ends: list[int]
+    values: list[float]
+    theta: float
     g: float
     piece: tuple[int, ...]
     slope: float
 
 
-def _point_at(
-    lam: float, x: list[float], means: Iterable[float], counts: Iterable[int], a: Sequence[float]
+def _point(
+    lam: float,
+    ends: list[int],
+    values: list[float],
+    theta: float,
+    g: float | None,
+    pa: Sequence[float],
 ) -> _Point:
-    """Read g(lam) = a . x and its linear piece off one evaluation.
+    """Read g(lam) = a . x, unless given, and its linear piece off the
+    blocks of x = (value - theta)+, with pa the prefix sums of a.
 
-    The piece is fixed by the pooled blocks (means and counts) inside the
-    simplex support of x, a prefix of the blocks since x is non-increasing;
-    adjacent blocks of equal mean count as one. Along the piece x moves by
-    the block means of a minus their support mean, so the slope is the
-    block-size-weighted spread of those block means, a non-negative sum
-    without cancellation.
+    The piece is fixed by the blocks inside the simplex support of x, a
+    prefix of the blocks since x is non-increasing; adjacent blocks of equal
+    value count as one. Along the piece x moves by the block means of a
+    minus their support mean, so the slope is the block-size-weighted spread
+    of those block means, a non-negative sum without cancellation.
     """
-    ends: list[int] = []
-    m = 0
+    piece: list[int] = []
+    terms: list[float] = []
+    start = 0
     previous = math.nan
-    for mean, count in zip(means, counts):
-        if x[m] <= 0.0:
+    for end, value in zip(ends, values):
+        if value - theta <= 0.0:
             break
-        if mean == previous:
-            ends[-1] += count
+        if g is None:
+            terms.append((value - theta) * (pa[end] - pa[start]))
+        if value == previous:
+            piece[-1] = end
         else:
-            ends.append(m + count)
-        m += count
-        previous = mean
-    mean_t = math.fsum(a[:m]) / m
+            piece.append(end)
+        start = end
+        previous = value
+    mean_t = pa[start] / start
     slope = 0.0
     start = 0
-    for end in ends:
-        slope += (end - start) * (math.fsum(a[start:end]) / (end - start) - mean_t) ** 2
+    for end in piece:
+        slope += (end - start) * ((pa[end] - pa[start]) / (end - start) - mean_t) ** 2
         start = end
-    return _Point(lam, x, math.fsum(map(operator.mul, x, a)), tuple(ends), slope)
+    if g is None:
+        g = math.fsum(terms)
+    return _Point(lam, ends, values, theta, g, tuple(piece), slope)
 
 
-def _evaluate(r: Sequence[float], a: Sequence[float], lam: float) -> _Point:
+def _evaluate(pr: Sequence[float], pa: Sequence[float], lam: float, ends: Iterable[int]) -> _Point:
     """x(lam) = project_simplex(project_monotone_nonincreasing(r + lam a))
-    and its piece of g, found on the pooled blocks of r + lam a without
-    expanding them before the threshold."""
-    means, counts = _pool([v + lam * w for v, w in zip(r, a)])
-    theta = _threshold(chain.from_iterable(map(repeat, means, counts)))
-    x = _expand([max(mean - theta, 0.0) for mean in means], counts)
-    return _point_at(lam, x, means, counts, a)
+    and its piece of g, on blocks: pr and pa are the prefix sums of r and
+    a, so a block's value is its sum of r + lam a over its length, a
+    function of its ends alone.
+
+    Pool adjacent violators starting from the blocks `ends`, which must be
+    those of r + lam' a at some lam' <= lam: raising lam only merges
+    blocks. An entry of a block of value u after J entries of sum C passes
+    the simplex threshold iff u J - C + 1 > 0, whatever its place in the
+    block, so the threshold takes whole blocks too. For lam > 0 it drops
+    a block only where r has an entry below 0: otherwise every block lies
+    above lam / n.
+    """
+    out: list[int] = []
+    values: list[float] = []
+    start = 0
+    for end in ends:
+        value = (pr[end] - pr[start] + lam * (pa[end] - pa[start])) / (end - start)
+        while values and values[-1] < value:
+            values.pop()
+            out.pop()
+            start = out[-1] if out else 0
+            value = (pr[end] - pr[start] + lam * (pa[end] - pa[start])) / (end - start)
+        out.append(end)
+        values.append(value)
+        start = end
+    start = 0
+    for end, value in zip(out, values):
+        if not value * start - (pr[start] + lam * pa[start]) + 1.0 > 0.0:
+            break
+        start = end
+    theta = (pr[start] + lam * pa[start] - 1.0) / start
+    return _point(lam, out, values, theta, None, pa)
 
 
-def _full_pooling(r: Sequence[float], a: Sequence[float]) -> float:
-    """The least lam >= 0 at which r + lam a pools into one block: every
-    prefix mean of r + lam a is at most its total mean. With a ascending,
-    the prefix means of a lie below mean(a), so prefix k binds at
-    (mean_k(r) - mean(r)) / (mean(a) - mean_k(a))."""
-    n = len(r)
-    mean_r = math.fsum(r) / n
-    mean_a = math.fsum(a) / n
+def _full_pooling(pr: Sequence[float], pa: Sequence[float]) -> float:
+    """The least lam >= 0 at which r + lam a pools into one block, from the
+    prefix sums of r and a: every prefix mean of r + lam a is at most its
+    total mean. With a ascending, the prefix means of a lie below mean(a),
+    so prefix k binds at (mean_k(r) - mean(r)) / (mean(a) - mean_k(a))."""
+    n = len(pr) - 1
+    mean_r = pr[n] / n
+    mean_a = pa[n] / n
     lam = 0.0
-    sum_r = sum_a = 0.0
     for k in range(1, n):
-        sum_r += r[k - 1]
-        sum_a += a[k - 1]
-        gap = mean_a - sum_a / k
+        gap = mean_a - pa[k] / k
         if gap > 0.0:
-            lam = max(lam, (sum_r / k - mean_r) / gap)
+            lam = max(lam, (pr[k] / k - mean_r) / gap)
     return lam
 
 
-def _project_cut(r: Sequence[float], a: Sequence[float]) -> list[float]:
-    """Exact projection of an ordered r with a . r < 0 onto the ordered
-    simplex cut by the halfspace a . x >= 0.
+def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[float]:
+    """Exact projection of an ordered r with floor = a . r < 0 onto the
+    ordered simplex cut by the halfspace a . x >= 0.
 
     By the KKT conditions the answer is x(lam) = project_simplex(
     project_monotone_nonincreasing(r + lam a)) at a lam > 0 where the
     nondecreasing, piecewise linear g(lam) = a . x(lam) vanishes. The
     bracket g(lower) < 0 < g(upper) is known without evaluating x: at
-    lam = 0, x = r on r's own piece, and at the full-pooling multiplier
-    (:func:`_full_pooling`) r + lam a pools into one block, so x is
-    uniform and g = sum(a) / n = 1 / n. Each step is a Newton step on the
-    piece of the lower, else the upper end when it lands strictly inside
-    the bracket, else bisection; the first is Newton from lam = 0. A
-    Newton step that lands on the piece it came from solved that piece,
-    so its point is exact to rounding; so is an end whose Newton
-    correction rounds to nothing. The loop also ends once the bracket
-    holds no float between its ends.
+    lam = 0, x = r on r's own piece with g = floor, and at the
+    full-pooling multiplier (:func:`_full_pooling`) r + lam a pools into
+    one block, so x is uniform and g = sum(a) / n = 1 / n. Each step is a
+    Newton step on the piece of the lower, else the upper end when it
+    lands strictly inside the bracket, else bisection; the first is Newton
+    from lam = 0. A Newton step that lands on the piece it came from solved
+    that piece, so its point is exact to rounding; so is an end whose
+    Newton correction rounds to nothing. The loop also ends once the
+    bracket holds no float between its ends.
 
-    Each step is one evaluation of x(lam) (:func:`_evaluate`). The tests
-    hold every call up to n = 64 to at most 8 steps, with degenerate
-    kernels, near-pure, pure and flat spectra; typical calls take 2 or 3.
+    Each step is one evaluation of x(lam) (:func:`_evaluate`), pooled from
+    the lower end's blocks rather than from r: every step lies above the
+    lower end, and raising lam only merges blocks. Block sums are
+    differences of the prefix sums of r and a, taken once per call, so a
+    step costs O(blocks of the lower end); x is expanded once, at the end.
+    The tests hold every call up to n = 64 to at most 8 steps, with
+    degenerate kernels, near-pure, pure and flat spectra; typical calls
+    take 2 or 3.
     """
     n = len(r)
-    lower = _point_at(0.0, list(r), r, repeat(1), a)
-    upper = _Point(_full_pooling(r, a), [1.0 / n] * n, math.fsum(a) / n, (n,), 0.0)
+    pr = [0.0, *accumulate(r)]
+    pa = [0.0, *accumulate(a)]
+    lower = _point(0.0, list(range(1, n + 1)), list(r), 0.0, floor, pa)
+    upper = _Point(_full_pooling(pr, pa), [n], [1.0 / n], 0.0, math.fsum(a) / n, (n,), 0.0)
     while upper.g > 0.0:
         for source in (lower, upper):
             step = source.lam - source.g / source.slope if source.slope > 0.0 else math.nan
             if step == source.lam:
-                return source.x
+                return _x(source)
             if lower.lam < step < upper.lam:
                 break
         else:
@@ -246,14 +292,23 @@ def _project_cut(r: Sequence[float], a: Sequence[float]) -> list[float]:
             step = 0.5 * (lower.lam + upper.lam)
             if not lower.lam < step < upper.lam:
                 break
-        point = _evaluate(r, a, step)
+        point = _evaluate(pr, pa, step, lower.ends)
         if source is not None and point.piece == source.piece:
-            return point.x
+            return _x(point)
         if point.g < 0.0:
             lower = point
         else:
             upper = point
-    return upper.x
+    return _x(upper)
+
+
+def _x(point: _Point) -> list[float]:
+    """The point x(lam) itself: each block's (value - theta)+ over its length."""
+    theta = point.theta
+    return _expand(
+        [max(value - theta, 0.0) for value in point.values],
+        map(operator.sub, point.ends, [0, *point.ends]),
+    )
 
 
 def project_to_classical(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
@@ -281,7 +336,7 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
         nearest = r
         d_frob = 0.0
     else:
-        nearest = Spectrum(tuple(_project_cut(r.values, kernel.values[::-1])))
+        nearest = Spectrum(tuple(_project_cut(r.values, kernel.values[::-1], floor)))
         d_frob = math.sqrt(
             math.fsum((a - b) ** 2 for a, b in zip(r.values, nearest.values))
         )

@@ -511,9 +511,10 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_state_entries_must_be_json_numbers(tmp_path, flags):
-    """Booleans, numeric strings, a bare number and nested lists are not
-    spectrum or matrix entries: each exits 2 with a message, never with a
-    traceback or as the numbers float() would make of them."""
+    """Booleans, numeric strings, a bare number, nested lists and integers
+    past the float range are not spectrum or matrix entries: each exits 2
+    with a message, never with a traceback or as the numbers float() would
+    make of them."""
     zeros = [[0.0] * 3 for _ in range(3)]
     diagonal = [[0.5, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]
     payloads = {
@@ -527,6 +528,9 @@ def test_state_entries_must_be_json_numbers(tmp_path, flags):
         "number_matrix": {"n": 3, "matrix_re": 5, "matrix_im": zeros},
         "ragged_matrix": {"n": 3, "matrix_re": [[0.5, 0.0, 0.0], [0.0, 0.3], [0.0, 0.0, 0.2]],
                           "matrix_im": zeros},
+        "huge_int_spectrum": {"n": 3, "spectrum": [10**400, 0, 0]},
+        "huge_int_matrix": {"n": 3, "matrix_re": [[10**400, 0, 0], [0, 0, 0], [0, 0, 0]],
+                            "matrix_im": zeros},
     }
     argvs = [
         ["indicator", "--state", write_state(tmp_path, f"{name}.json", payload), "--zeta", "0"]
