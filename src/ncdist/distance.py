@@ -1,9 +1,10 @@
 """The nonclassicality distance indicator: exact qutrit closed form, exact
-projection onto the positivity polytope for general dimension (a search for
-the multiplier of its one halfspace, floor >= 0, solved on its final linear
-piece; each step pools r + lam a from the blocks of the step below it, with
-block sums read off prefix sums, and takes the simplex threshold on whole
-blocks), and an exact rational active-set oracle."""
+projection onto the positivity polytope for general dimension (one-sided
+Newton steps on the concave, piecewise linear g(lam) = a . x(lam) of the
+multiplier of its one halfspace, floor >= 0, ending on the piece that holds
+the root; each step pools r + lam a from the blocks of the step before it,
+with block sums read off prefix sums), and an exact rational active-set
+oracle."""
 
 from __future__ import annotations
 
@@ -140,9 +141,9 @@ def project_halfspace(values: Sequence[float], normal: Sequence[float]) -> list[
 
 
 class _Point(NamedTuple):
-    """One evaluation of x(lam): the pooled blocks of r + lam a, as their
-    end indices and values, the simplex shift theta, and the linear piece
-    of g through it."""
+    """One evaluation of x(lam) on a prefix of m entries: the pooled blocks
+    of r + lam a, as their end indices and values, the shift theta that
+    makes x sum to one, and the linear piece of g through it."""
 
     lam: float
     ends: list[int]
@@ -162,21 +163,18 @@ def _point(
     pa: Sequence[float],
 ) -> _Point:
     """Read g(lam) = a . x, unless given, and its linear piece off the
-    blocks of x = (value - theta)+, with pa the prefix sums of a.
+    blocks of x = value - theta, with pa the prefix sums of a.
 
-    The piece is fixed by the blocks inside the simplex support of x, a
-    prefix of the blocks since x is non-increasing; adjacent blocks of equal
-    value count as one. Along the piece x moves by the block means of a
-    minus their support mean, so the slope is the block-size-weighted spread
-    of those block means, a non-negative sum without cancellation.
+    The piece is fixed by the blocks; adjacent blocks of equal value count
+    as one. Along the piece x moves by the block means of a minus their
+    mean over the prefix, so the slope is the block-size-weighted spread of
+    those block means, a non-negative sum without cancellation.
     """
     piece: list[int] = []
     terms: list[float] = []
     start = 0
     previous = math.nan
     for end, value in zip(ends, values):
-        if value - theta <= 0.0:
-            break
         if g is None:
             terms.append((value - theta) * (pa[end] - pa[start]))
         if value == previous:
@@ -197,18 +195,15 @@ def _point(
 
 
 def _evaluate(pr: Sequence[float], pa: Sequence[float], lam: float, ends: Iterable[int]) -> _Point:
-    """x(lam) = project_simplex(project_monotone_nonincreasing(r + lam a))
-    and its piece of g, on blocks: pr and pa are the prefix sums of r and
-    a, so a block's value is its sum of r + lam a over its length, a
-    function of its ends alone.
+    """x(lam) = project_monotone_nonincreasing(r + lam a) - theta and its
+    piece of g on the prefix of m entries that `ends` spans, on blocks: pr
+    and pa are the prefix sums of r and a, so a block's value is its sum of
+    r + lam a over its length, a function of its ends alone, and theta =
+    (pr[m] + lam pa[m] - 1) / m makes x sum to one.
 
     Pool adjacent violators starting from the blocks `ends`, which must be
     those of r + lam' a at some lam' <= lam: raising lam only merges
-    blocks. An entry of a block of value u after J entries of sum C passes
-    the simplex threshold iff u J - C + 1 > 0, whatever its place in the
-    block, so the threshold takes whole blocks too. For lam > 0 it drops
-    a block only where r has an entry below 0: otherwise every block lies
-    above lam / n.
+    blocks.
     """
     out: list[int] = []
     values: list[float] = []
@@ -223,92 +218,74 @@ def _evaluate(pr: Sequence[float], pa: Sequence[float], lam: float, ends: Iterab
         out.append(end)
         values.append(value)
         start = end
-    start = 0
-    for end, value in zip(out, values):
-        if not value * start - (pr[start] + lam * pa[start]) + 1.0 > 0.0:
-            break
-        start = end
     theta = (pr[start] + lam * pa[start] - 1.0) / start
     return _point(lam, out, values, theta, None, pa)
-
-
-def _full_pooling(pr: Sequence[float], pa: Sequence[float]) -> float:
-    """The least lam >= 0 at which r + lam a pools into one block, from the
-    prefix sums of r and a: every prefix mean of r + lam a is at most its
-    total mean. With a ascending, the prefix means of a lie below mean(a),
-    so prefix k binds at (mean_k(r) - mean(r)) / (mean(a) - mean_k(a))."""
-    n = len(pr) - 1
-    mean_r = pr[n] / n
-    mean_a = pa[n] / n
-    lam = 0.0
-    for k in range(1, n):
-        gap = mean_a - pa[k] / k
-        if gap > 0.0:
-            lam = max(lam, (pr[k] / k - mean_r) / gap)
-    return lam
 
 
 def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[float]:
     """Exact projection of an ordered r with floor = a . r < 0 onto the
     ordered simplex cut by the halfspace a . x >= 0.
 
-    By the KKT conditions the answer is x(lam) = project_simplex(
-    project_monotone_nonincreasing(r + lam a)) at a lam > 0 where the
-    nondecreasing, piecewise linear g(lam) = a . x(lam) vanishes. The
-    bracket g(lower) < 0 < g(upper) is known without evaluating x: at
-    lam = 0, x = r on r's own piece with g = floor, and at the
-    full-pooling multiplier (:func:`_full_pooling`) r + lam a pools into
-    one block, so x is uniform and g = sum(a) / n = 1 / n. Each step is a
-    Newton step on the piece of the lower, else the upper end when it
-    lands strictly inside the bracket, else bisection; the first is Newton
-    from lam = 0. A Newton step that lands on the piece it came from solved
-    that piece, so its point is exact to rounding; so is an end whose
-    Newton correction rounds to nothing. The loop also ends once the
-    bracket holds no float between its ends.
+    Leave out the sign row x_n >= 0 at first. By the KKT conditions the
+    answer is then x(lam) = project_monotone_nonincreasing(r + lam a) -
+    theta (:func:`_evaluate`) at a lam > 0 where g(lam) = a . x(lam)
+    vanishes. On a piece, a fixed set of pooled blocks, g is linear with
+    the slope of :func:`_point`; raising lam only merges blocks, and a
+    merge can only lower that slope. So g is nondecreasing, piecewise
+    linear and concave, and a Newton step from a point with g < 0 lands at
+    g <= 0: on its own piece, which it has solved, so its point is exact to
+    rounding, or on a strictly later piece.
 
-    Each step is one evaluation of x(lam) (:func:`_evaluate`), pooled from
-    the lower end's blocks rather than from r: every step lies above the
-    lower end, and raising lam only merges blocks. Block sums are
-    differences of the prefix sums of r and a, taken once per call, so a
-    step costs O(blocks of the lower end); x is expanded once, at the end.
-    The tests hold every call up to n = 64 to at most 8 steps, with
-    degenerate kernels, near-pure, pure and flat spectra; typical calls
-    take 2 or 3.
+    The search starts at lam = 0 from r's own entries and the piece over
+    all n entries, without an evaluation. There theta shifts r to total
+    one, which Spectrum admits only to within 1e-12, so g is the floor
+    less theta times sum(a). The search keeps a step that lands on a new
+    piece with g < 0, and stops when a step lands on its own piece, at
+    g >= 0, or when the Newton correction rounds to nothing. A zero slope
+    cannot occur while g < 0: it gives every block the same mean of a, so
+    g = sum(a[:m]) / m on the m entries searched. That is 1 / n > 0 on the
+    full problem. After a restart it is at least a . x for the
+    projection's first m entries, by Chebyshev's sum inequality (a
+    ascending, x non-increasing and summing to one), so at least 0.
+
+    If the final point's last entry is negative, which needs an entry of r
+    below 0, it breaks the sign row, so the projection holds that entry at
+    0: a single constraint that the optimum without it breaks binds at the
+    optimum with it. What is left is the same problem on the prefix before
+    that entry, and the search restarts there from lam = 0.
+
+    Each kept step enters a strictly later piece, with fewer blocks, so
+    there are at most n evaluations per support and at most n - 1
+    restarts. A block's value is read off the prefix sums of r and a,
+    taken once per call, each step pools from the blocks of the step
+    before it, and x is expanded once, at the end.
     """
     n = len(r)
     pr = [0.0, *accumulate(r)]
     pa = [0.0, *accumulate(a)]
-    lower = _point(0.0, list(range(1, n + 1)), list(r), 0.0, floor, pa)
-    upper = _Point(_full_pooling(pr, pa), [n], [1.0 / n], 0.0, math.fsum(a) / n, (n,), 0.0)
-    while upper.g > 0.0:
-        for source in (lower, upper):
-            step = source.lam - source.g / source.slope if source.slope > 0.0 else math.nan
-            if step == source.lam:
-                return _x(source)
-            if lower.lam < step < upper.lam:
-                break
-        else:
-            source = None
-            step = 0.5 * (lower.lam + upper.lam)
-            if not lower.lam < step < upper.lam:
-                break
-        point = _evaluate(pr, pa, step, lower.ends)
-        if source is not None and point.piece == source.piece:
-            return _x(point)
+    theta = (pr[n] - 1.0) / n
+    point = _point(0.0, list(range(1, n + 1)), list(r), theta, floor - theta * pa[n], pa)
+    while True:
         if point.g < 0.0:
-            lower = point
-        else:
-            upper = point
-    return _x(upper)
+            step = point.lam - point.g / point.slope
+            if step != point.lam:
+                last, point = point, _evaluate(pr, pa, step, point.ends)
+                if point.piece != last.piece:
+                    continue
+        if point.values[-1] - point.theta >= 0.0:
+            return _x(point, n)
+        point = _evaluate(pr, pa, 0.0, range(1, point.ends[-1]))
 
 
-def _x(point: _Point) -> list[float]:
-    """The point x(lam) itself: each block's (value - theta)+ over its length."""
+def _x(point: _Point, n: int) -> list[float]:
+    """The point x(lam) itself, each block's value - theta over its length,
+    padded with zeros to n entries."""
     theta = point.theta
-    return _expand(
-        [max(value - theta, 0.0) for value in point.values],
+    x = _expand(
+        [value - theta for value in point.values],
         map(operator.sub, point.ends, [0, *point.ends]),
     )
+    return x + [0.0] * (n - len(x))
 
 
 def project_to_classical(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:

@@ -1,13 +1,21 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers and the hypothesis profile of the test suite."""
 
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from ncdist import QutritChart, Spectrum, haar_unitary
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
+
+#: property tests run a fixed, derandomized set of examples: the same on
+#: every run and machine, with no example database written to disk
+settings.register_profile(
+    "ncdist", derandomize=True, max_examples=150, deadline=None, database=None
+)
+settings.load_profile("ncdist")
 
 
 def random_chamber_chart(rng: np.random.Generator) -> QutritChart:
@@ -27,3 +35,4 @@ def random_density_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     r = random_spectrum(rng, n)
     u = haar_unitary(n, rng)
     return (u * r.as_array()) @ u.conj().T
+
