@@ -4,8 +4,8 @@ the two distance conventions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Any
 
 from .errors import DimensionMismatch, NonHermitian, NotAState, OutOfChamber
@@ -20,8 +20,47 @@ EIG_TOL = 1e-10
 CHAMBER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Frozen:
+    """Base of the immutable value types: fields are the `__slots__` of the
+    subclass, set once by its `__init__` through `object.__setattr__`.
+
+    Instances compare and hash by their field values, within one class
+    only, and print as `Name(field=value, ...)`. Assigning or deleting a
+    field raises AttributeError. Pickling and copying rebuild an instance
+    through its constructor, since the blocked `__setattr__` rules out the
+    default restore of slot state.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the field, or the tuple of fields, in one C call; a Python loop
+        # over the fields makes == several times slower
+        cls._key = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Spectrum(Frozen):
     """Density-matrix eigenvalues as a non-increasing probability vector.
 
     Input values may arrive in any order; they are sorted non-increasing on
@@ -29,10 +68,11 @@ class Spectrum:
     must equal 1, both within 1e-12.
     """
 
+    __slots__ = ("values",)
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        vals = tuple(sorted((float(v) for v in self.values), reverse=True))
+    def __init__(self, values: tuple[float, ...]):
+        vals = tuple(sorted((float(v) for v in values), reverse=True))
         if len(vals) < 2:
             raise DimensionMismatch("spectrum dimension must be at least 2")
         if not all(map(math.isfinite, vals)):
@@ -55,8 +95,7 @@ class Spectrum:
         return np.array(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
-class QutritChart:
+class QutritChart(Frozen):
     """Orbit-space coordinates (xi3, xi8) of an ordered qutrit spectrum.
 
     Ordered spectra fill the triangle with corners (0, 0), (0, 1/2) and
@@ -64,12 +103,13 @@ class QutritChart:
     not at construction.
     """
 
+    __slots__ = ("xi3", "xi8")
     xi3: float
     xi8: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi3", float(self.xi3))
-        object.__setattr__(self, "xi8", float(self.xi8))
+    def __init__(self, xi3: float, xi8: float):
+        object.__setattr__(self, "xi3", float(xi3))
+        object.__setattr__(self, "xi8", float(xi8))
 
 
 def chamber_mask(xi3, xi8):

@@ -10,32 +10,56 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import QutritChart, Spectrum, conversion_factor, require_chamber, spectrum_from_chart
+from .core import (
+    Frozen,
+    QutritChart,
+    Spectrum,
+    conversion_factor,
+    require_chamber,
+    spectrum_from_chart,
+)
 from .errors import DimensionMismatch, InfeasibleModel
 from .geometry import REGIONS, Region, _band_region, _cut_projection
 from .kernel import KernelSpectrum, check_zeta
 from .wigner import CLASSICAL_TOL, wigner_floor
 
 
-@dataclass(frozen=True)
-class IndicatorResult:
+class IndicatorResult(Frozen):
     """Outcome of the nonclassicality distance computation for one state.
 
     Distances come in both conventions; `region` is populated for qutrits
-    only. `floor` is the exact Wigner floor of the input state and
-    `classical` is the floor >= -1e-12 predicate.
+    only. `floor` is the Wigner floor of the input state as computed, not
+    exact: :func:`wigner_floor` for :func:`distance_general`, the chart-plane
+    1/3 - (4/3) p for :func:`qutrit_distance`. `classical` is the
+    floor >= -1e-12 predicate.
     """
 
+    __slots__ = ("distance_paper", "distance_frobenius", "region", "nearest", "floor", "classical")
     distance_paper: float
     distance_frobenius: float
     region: Region | None
     nearest: Spectrum
     floor: float
     classical: bool
+
+    def __init__(
+        self,
+        distance_paper: float,
+        distance_frobenius: float,
+        region: Region | None,
+        nearest: Spectrum,
+        floor: float,
+        classical: bool,
+    ):
+        object.__setattr__(self, "distance_paper", distance_paper)
+        object.__setattr__(self, "distance_frobenius", distance_frobenius)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "nearest", nearest)
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "classical", classical)
 
 
 def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:

@@ -5,12 +5,12 @@ and the qutrit region decomposition."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
 from .core import (
     SQRT3,
+    Frozen,
     MetricConvention,
     QutritChart,
     Spectrum,
@@ -43,8 +43,7 @@ class Region(Enum):
 REGIONS = (Region.OQR, Region.AQT, Region.QRST, Region.BRS)
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Frozen):
     """Wigner-positivity polytope by its vertices: the ordered simplex cut
     by the halfspace wigner_floor >= 0.
 
@@ -54,8 +53,13 @@ class Polytope:
     BLAS build.
     """
 
+    __slots__ = ("n", "vertices")
     n: int
     vertices: tuple[Spectrum, ...]
+
+    def __init__(self, n: int, vertices: tuple[Spectrum, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "vertices": [list(v.values) for v in self.vertices]}
@@ -65,15 +69,24 @@ class Polytope:
         return out
 
 
-@dataclass(frozen=True)
-class QutritAnchors:
+class QutritAnchors(Frozen):
     """Chart positions of the chamber corners and the cut endpoints."""
 
+    __slots__ = ("O", "A", "B", "Q", "R")
     O: QutritChart
     A: QutritChart
     B: QutritChart
     Q: QutritChart
     R: QutritChart
+
+    def __init__(
+        self, O: QutritChart, A: QutritChart, B: QutritChart, Q: QutritChart, R: QutritChart
+    ):
+        object.__setattr__(self, "O", O)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "R", R)
 
 
 def positivity_polytope(kernel: KernelSpectrum) -> Polytope:

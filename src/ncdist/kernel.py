@@ -4,10 +4,9 @@ the defining trace conditions, and random sampling of solutions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .core import SQRT3
+from .core import SQRT3, Frozen
 from .errors import DimensionMismatch, MasterEquationViolated, ModuliOutOfRange
 
 ZETA_MAX = math.pi / 3.0
@@ -19,8 +18,7 @@ TRACE_TOL = 1e-9
 SQUARE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class KernelSpectrum:
+class KernelSpectrum(Frozen):
     """Eigenvalues of a Stratonovich-Weyl kernel, sorted non-increasing.
 
     A valid kernel spectrum is finite and satisfies sum(pi) = 1 and
@@ -28,10 +26,11 @@ class KernelSpectrum:
     together on failure, as NaN for non-finite values.
     """
 
+    __slots__ = ("values",)
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        vals = tuple(sorted((float(v) for v in self.values), reverse=True))
+    def __init__(self, values: tuple[float, ...]):
+        vals = tuple(sorted((float(v) for v in values), reverse=True))
         if len(vals) < 2:
             raise DimensionMismatch("kernel dimension must be at least 2")
         if not all(map(math.isfinite, vals)):

@@ -1,6 +1,7 @@
-"""Wigner-function values, the exact phase-space floor, the classicality
-predicate and a Monte-Carlo sampling oracle for the floor, which draws its
-Haar unitaries in blocks of `_BLOCK`, each block from one Gaussian call."""
+"""Wigner-function values, the phase-space floor in closed form, the
+classicality predicate and a Monte-Carlo sampling oracle for the floor,
+which draws its Haar unitaries in blocks of `_BLOCK`, each block from one
+Gaussian call."""
 
 from __future__ import annotations
 
@@ -55,11 +56,16 @@ def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
 
 
 def wigner_floor(r: Spectrum, kernel: KernelSpectrum) -> float:
-    """Exact infimum of the Wigner value of a state over the phase space.
+    """Infimum of the Wigner value of a state over the phase space.
 
     Pairs the decreasing spectrum with the increasing kernel values,
     sum_i r_i pi_{n+1-i}. No unitary produces a smaller pairing and the
     bound is attained, so this single dot product replaces the infimum.
+    The pairing is exact; its value is not. It is a `math.fsum` of rounded
+    products, so it can be off by about 1e-16 times the largest |pi_i|:
+    the spectrum (0.4540878927130961, 0.37376698805893516,
+    0.17214511922796888) at zeta 0.6545984418925018 reads -1.0000750e-12,
+    where the exact pairing of those floats is -1.0000777e-12.
     """
     if r.n != kernel.n:
         raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")

@@ -1,7 +1,7 @@
 """Names the benchmark harness in perfbench/ looks up in the package,
 validation that does not rest on `assert` (stripped under `python -O`),
-numpy and fractions imported only inside the functions that use them, and
-type hints that resolve without them.
+numpy and fractions imported only inside the functions that use them,
+dataclasses not imported at all, and type hints that resolve without them.
 
 The harness files are only read here, never imported or changed.
 """
@@ -107,12 +107,13 @@ def _import_time_nodes(tree: ast.Module):
 _LAZY_MODULES = {"numpy", "fractions"}
 
 
-def _imports_lazy_module(node) -> bool:
+def _imports_any(node, modules: set[str]) -> bool:
+    """Whether an import statement imports one of `modules` or a submodule."""
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] in _LAZY_MODULES for alias in node.names)
+        return any(alias.name.split(".")[0] in modules for alias in node.names)
     return (
         isinstance(node, ast.ImportFrom)
-        and (node.module or "").split(".")[0] in _LAZY_MODULES
+        and (node.module or "").split(".")[0] in modules
     )
 
 
@@ -122,7 +123,20 @@ def test_package_imports_numpy_only_inside_functions():
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in _import_time_nodes(ast.parse(path.read_text()))
-        if _imports_lazy_module(node)
+        if _imports_any(node, _LAZY_MODULES)
+    ]
+    assert found == []
+
+
+def test_package_does_not_import_dataclasses():
+    """dataclasses imports inspect, which costs the short `nc` commands more
+    start-up time than the rest of the package; the value types build on
+    `core.Frozen` instead."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _imports_any(node, {"dataclasses"})
     ]
     assert found == []
 

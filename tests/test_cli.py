@@ -477,8 +477,9 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     """Importing the package and the CLI, and commands that run no array
     code, start without numpy, and without fractions, which only the
     oracle uses. These include `polytope` with `--zeta` or `--pi`, whose
-    vertices are integer arithmetic. Runs in a child process, because the
-    test suite itself imports numpy."""
+    vertices are integer arithmetic. Nor do they load dataclasses or
+    inspect, unless the interpreter's start-up already did. Runs in a child
+    process, because the test suite itself imports numpy."""
     s3 = write_state(tmp_path, "s3.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
     s8 = write_state(
         tmp_path, "s8.json", {"n": 8, "spectrum": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]}
@@ -493,10 +494,13 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     ]
     script = (
         "import sys\n"
+        "slow = {'dataclasses', 'inspect'}\n"
+        "preloaded = slow & set(sys.modules)\n"
         "import ncdist\n"
         "import ncdist.cli\n"
         f"codes = [ncdist.cli.main(argv) for argv in {commands!r}]\n"
         "print(codes, 'numpy' in sys.modules, 'fractions' in sys.modules)\n"
+        "print(sorted(slow & set(sys.modules) - preloaded))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -506,7 +510,8 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False False"
+    assert proc.stdout.splitlines()[-2] == "[0, 0, 0, 0, 0] False False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

@@ -1,4 +1,7 @@
+import copy
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,15 +9,24 @@ import pytest
 from conftest import random_chamber_chart, random_spectrum
 from ncdist import (
     DimensionMismatch,
+    IndicatorResult,
+    KernelSpectrum,
     MetricConvention,
     NonHermitian,
     NotAState,
     OutOfChamber,
+    Polytope,
     QutritChart,
+    Region,
     Spectrum,
     chart_from_spectrum,
+    distance_general,
     haar_unitary,
     metric_convert,
+    positivity_polytope,
+    qutrit_anchor_points,
+    qutrit_kernel,
+    random_kernel,
     spectrum_from_chart,
     spectrum_from_matrix,
 )
@@ -206,3 +218,90 @@ class TestMetricConvert:
     def test_rejects_dimension_one(self):
         with pytest.raises(DimensionMismatch):
             metric_convert(1.0, 1, MetricConvention.PAPER, MetricConvention.PAPER)
+
+
+def value_objects() -> dict:
+    """One instance of each immutable value type, built afresh per call."""
+    r = Spectrum((0.7, 0.2, 0.1))
+    k = qutrit_kernel(0.3)
+    return {
+        "state": r,
+        "qutrit_kernel": k,
+        "random_kernel": random_kernel(5, 7),
+        "result": distance_general(r, k),
+        "polytope": positivity_polytope(k),
+        "chart": chart_from_spectrum(r),
+        "anchors": qutrit_anchor_points(0.3),
+    }
+
+
+def fields(obj) -> list[str]:
+    """Field names of a value type, from its constructor's signature."""
+    return list(inspect.signature(type(obj)).parameters)
+
+
+class TestValueTypes:
+    def test_result_has_a_region(self):
+        assert value_objects()["result"].region in (Region.AQT, Region.QRST, Region.BRS)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda v: pickle.loads(pickle.dumps(v)),
+            lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle_protocol_0", "copy", "deepcopy"],
+    )
+    @pytest.mark.parametrize("name", sorted(value_objects()))
+    def test_pickle_and_copy_round_trip(self, name, clone):
+        value = value_objects()[name]
+        back = clone(value)
+        assert type(back) is type(value)
+        assert back == value
+        names = fields(value)
+        assert [getattr(back, f) for f in names] == [getattr(value, f) for f in names]
+
+    @pytest.mark.parametrize("name", sorted(value_objects()))
+    def test_equal_values_compare_and_hash_equal(self, name):
+        a, b = value_objects()[name], value_objects()[name]
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_other_types_compare_unequal(self):
+        s = Spectrum((0.5, 0.3, 0.2))
+        assert s != (0.5, 0.3, 0.2)
+        assert (0.5, 0.3, 0.2) != s
+        assert s.__eq__((0.5, 0.3, 0.2)) is NotImplemented
+        assert QutritChart(0.0, 0.5) != (0.0, 0.5)
+
+    @pytest.mark.parametrize("name", sorted(value_objects()))
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        value = value_objects()[name]
+        for f in fields(value):
+            before = getattr(value, f)
+            with pytest.raises(AttributeError):
+                setattr(value, f, before)
+            with pytest.raises(AttributeError):
+                delattr(value, f)
+            assert getattr(value, f) is before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_keyword_and_positional_construction(self):
+        r = Spectrum((0.5, 0.3, 0.2))
+        assert Spectrum(values=(0.2, 0.3, 0.5)) == r
+        assert KernelSpectrum(values=(1.0, 1.0, -1.0)) == KernelSpectrum((1.0, -1.0, 1.0))
+        assert QutritChart(xi3=0.1, xi8=0.4) == QutritChart(0.1, 0.4)
+        assert Polytope(n=3, vertices=(r,)) == Polytope(3, (r,))
+        args = (0.2, 0.1, Region.QRST, r, -0.01, False)
+        result = IndicatorResult(*args)
+        assert IndicatorResult(**dict(zip(fields(result), args))) == result
+        assert [getattr(result, f) for f in fields(result)] == list(args)
+
+    def test_repr(self):
+        assert repr(Spectrum((0.2, 0.3, 0.5))) == "Spectrum(values=(0.5, 0.3, 0.2))"
+        assert repr(QutritChart(0, 0.5)) == "QutritChart(xi3=0.0, xi8=0.5)"
+        assert repr(Polytope(2, ())) == "Polytope(n=2, vertices=())"
