@@ -285,6 +285,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        # numpy's Philox, which every seed feeds, rejects a negative one
+        # without naming the option
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (NcdistError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

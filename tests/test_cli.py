@@ -422,6 +422,21 @@ class TestSampleMinCommand:
         assert data["w_sampled"] >= data["w_analytic"] - 1e-9
 
 
+@pytest.mark.parametrize("command", ["kernel", "indicator", "polytope", "sample-min"])
+def test_negative_seed_names_the_option(capsys, tmp_path, command):
+    state = write_state(tmp_path, "s.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
+    argv = {
+        "kernel": ["kernel", "--n", "3"],
+        "indicator": ["indicator", "--state", state],
+        "polytope": ["polytope", "--n", "3"],
+        "sample-min": ["sample-min", "--state", state, "--zeta", "0"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ncdist", "kernel", "--n", "3", "--zeta", "0"],
@@ -477,9 +492,10 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     """Importing the package and the CLI, and commands that run no array
     code, start without numpy, and without fractions, which only the
     oracle uses. These include `polytope` with `--zeta` or `--pi`, whose
-    vertices are integer arithmetic. Nor do they load dataclasses or
-    inspect, unless the interpreter's start-up already did. Runs in a child
-    process, because the test suite itself imports numpy."""
+    vertices are integer arithmetic, and every command given a negative
+    `--seed`, which exits 2 before numpy loads. Nor do they load
+    dataclasses or inspect, unless the interpreter's start-up already did.
+    Runs in a child process, because the test suite itself imports numpy."""
     s3 = write_state(tmp_path, "s3.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
     s8 = write_state(
         tmp_path, "s8.json", {"n": 8, "spectrum": [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]}
@@ -491,6 +507,10 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         ["kernel", "--n", "3", "--zeta", "0"],
         ["polytope", "--n", "3", "--zeta", "0"],
         ["polytope", "--n", "2", "--pi", QUBIT_PI],
+        ["kernel", "--n", "3", "--seed", "-1"],
+        ["indicator", "--state", s3, "--seed", "-1"],
+        ["polytope", "--n", "3", "--seed", "-1"],
+        ["sample-min", "--state", s3, "--zeta", "0", "--seed", "-1"],
     ]
     script = (
         "import sys\n"
@@ -510,7 +530,7 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2] == "[0, 0, 0, 0, 0] False False"
+    assert proc.stdout.splitlines()[-2] == "[0, 0, 0, 0, 0, 2, 2, 2, 2] False False"
     assert proc.stdout.splitlines()[-1] == "[]"
 
 

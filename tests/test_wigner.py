@@ -21,11 +21,13 @@ from ncdist import (
     wigner_floor,
     wigner_value,
 )
-from ncdist.wigner import _BLOCK, _haar
+from ncdist.wigner import _BLOCK, _GS_MAX_N, _gs_values, _haar
 
 ZETA_MAX = math.pi / 3.0
 #: sample counts on both sides of the sampler's block boundaries
 BLOCK_EDGES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
+#: dimensions on both sides of the switch between the two block paths
+SWITCH_EDGES = (_GS_MAX_N, _GS_MAX_N + 1)
 
 
 def dense_pairing(rho, u, pi):
@@ -87,13 +89,48 @@ class TestWignerValue:
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_haar_stack_matches_single_matrices(n):
     """A block of Haar unitaries is, bit for bit, the unitaries of its
-    matrices taken one at a time, so sampled_min's blocks and haar_unitary
-    are one sampler."""
+    matrices taken one at a time, so haar_unitary and sampled_min's blocks
+    above _GS_MAX_N, which call _haar on the whole block, are one sampler."""
     rng = np.random.default_rng(n)
     z = rng.standard_normal((9, n, n, 2)).view(complex)[..., 0]
     stack = _haar(z)
     for i in range(len(z)):
         assert stack[i].tobytes() == _haar(z[i]).tobytes()
+
+
+class TestGramSchmidtBlocks:
+    """sampled_min's block path for n <= _GS_MAX_N, which computes the
+    Wigner values from the Gaussian stack without forming the unitaries."""
+
+    def test_matches_haar_per_draw(self):
+        """Each value is the dense pairing of the unitary _haar makes of the
+        same draw. The bound is about twice the worst of 26,400 draws at
+        n = 2..12, 9.8e-16 * max|pi|."""
+        rng = np.random.default_rng(11)
+        for n in range(2, _GS_MAX_N + 1):
+            rho = random_density_matrix(rng, n)
+            pi = random_kernel(n, int(rng.integers(0, 1 << 30))).as_array()
+            z = rng.standard_normal((6, n, n, 2)).view(complex)[..., 0]
+            vals = _gs_values(z, rho, pi)
+            u = _haar(z)
+            for b in range(len(z)):
+                want = dense_pairing(rho, u[b], pi)
+                assert abs(vals[b].real - want) <= 2e-15 * np.abs(pi).max(), (n, b)
+
+    def test_nearly_dependent_columns_stay_orthonormal(self):
+        """With pi = 1 the value is psi^H U U^H psi, which is 1 only if U is
+        unitary. A second column 1e-9 from the first loses orthogonality
+        in one Gram-Schmidt pass (|W - 1| of 1e-6 to 1e-5), not in two. The
+        bound is about twice the worst of 1.4 million draws, 1.0e-15."""
+        rng = np.random.default_rng(12)
+        for n in range(2, _GS_MAX_N + 1):
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi /= np.linalg.norm(psi)
+            z = rng.standard_normal((32, n, n, 2)).view(complex)[..., 0]
+            noise = rng.standard_normal((32, n, 2)).view(complex)[..., 0]
+            z[:, :, 1] = z[:, :, 0] + 1e-9 * noise
+            vals = _gs_values(z, np.outer(psi, psi.conj()), np.ones(n))
+            assert np.abs(vals - 1.0).max() <= 2e-15, n
 
 
 class TestWignerFloor:
@@ -191,6 +228,7 @@ class TestSampledMin:
 
     def test_never_beats_floor(self):
         rng = np.random.default_rng(9)
+        switch = np.random.default_rng(13)
         for samples in BLOCK_EDGES:
             for _ in range(20):
                 n = int(rng.integers(2, 5))
@@ -198,12 +236,21 @@ class TestSampledMin:
                 k = random_kernel(n, int(rng.integers(0, 1 << 30)))
                 floor = wigner_floor(spectrum_from_matrix(rho), k)
                 assert sampled_min(rho, k, samples, 3) >= floor - 1e-9, samples
+            for n in SWITCH_EDGES:
+                rho = random_density_matrix(switch, n)
+                k = random_kernel(n, int(switch.integers(0, 1 << 30)))
+                floor = wigner_floor(spectrum_from_matrix(rho), k)
+                assert sampled_min(rho, k, samples, 3) >= floor - 1e-9, (samples, n)
 
     def test_deterministic_per_seed(self):
-        rho = random_density_matrix(np.random.default_rng(10), 3)
-        k = qutrit_kernel(0.9)
+        rng = np.random.default_rng(10)
+        cases = [(random_density_matrix(rng, 3), qutrit_kernel(0.9))]
+        cases += [(random_density_matrix(rng, n), random_kernel(n, n)) for n in SWITCH_EDGES]
         for samples in BLOCK_EDGES:
-            assert sampled_min(rho, k, samples, 7) == sampled_min(rho, k, samples, 7), samples
+            for rho, k in cases:
+                assert sampled_min(rho, k, samples, 7) == sampled_min(rho, k, samples, 7), (
+                    samples, k.n,
+                )
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
