@@ -7,8 +7,8 @@ check of the analytic floor). Every command prints one JSON object, except
 `scan`, which streams one CSV file row by row. `indicator` computes the
 distance by the exact projection of `distance_general`. `scan` validates
 zeta once and evaluates the qutrit closed form (`_cut_projection`) once per
-grid row, on arrays, keeping the row's chamber prefix; for qutrits the two
-agree. Exit codes: 0 success, 2 invalid input.
+grid row, in plain floats on the row's chamber prefix, without numpy; for
+qutrits the two agree. Exit codes: 0 success, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ import argparse
 import json
 import math
 import sys
+from bisect import bisect_right
 from typing import Any
 
 from .core import (
+    CHAMBER_TOL,
     SQRT3,
     MetricConvention,
     Spectrum,
-    chamber_mask,
     conversion_factor,
     spectrum_from_matrix,
 )
@@ -165,8 +166,6 @@ def _cmd_indicator(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    import numpy as np
-
     zeta = _zeta_value(args)
     if zeta is None:
         raise ValueError("scan needs --zeta or --zeta-degrees")
@@ -176,21 +175,20 @@ def _cmd_scan(args) -> int:
     paper = MetricConvention(args.convention) is MetricConvention.PAPER
     divisor = 1.0 if paper else conversion_factor(3)
     res = args.resolution
-    # every row is evaluated on the whole xi3 grid, so its arrays keep one
-    # length; the chamber keeps a prefix of each row, as xi3 increases
-    xi3 = (SQRT3 / 2.0) * np.arange(res) / (res - 1)
-    xi3_text = [_fmt(x) for x in xi3.tolist()]
+    xi3 = [(SQRT3 / 2.0) * i / (res - 1) for i in range(res)]
+    xi3_text = [_fmt(x) for x in xi3]
+    # the chamber keeps a prefix of each row: chamber_mask's test
+    # xi8 >= xi3 / sqrt(3) - tol, as its other two hold on this grid
+    bounds = [x / SQRT3 - CHAMBER_TOL for x in xi3]
     with open(args.output, "w", encoding="ascii", newline="\n") as fh:
         fh.write("xi3,xi8,region,distance\n")
         for j in range(res):
             xi8 = 0.5 * j / (res - 1)
-            keep = int(np.count_nonzero(chamber_mask(xi3, xi8)))
-            code, _, d, _ = _cut_projection(xi3, xi8, zeta)
+            points = _cut_projection(xi3[: bisect_right(bounds, xi8)], xi8, zeta)
             middle = [f",{_fmt(xi8)},{region.value}," for region in REGIONS]
-            dist = (d[:keep] / divisor + 0.0).tolist()
             fh.write("".join([
-                f"{x}{middle[c]}{v:.12g}\n"
-                for x, c, v in zip(xi3_text, code[:keep].tolist(), dist)
+                f"{x}{middle[c]}{d / divisor:.12g}\n"
+                for x, (c, _, d, _) in zip(xi3_text, points)
             ]))
     return 0
 

@@ -112,8 +112,8 @@ class QutritChart(Frozen):
         object.__setattr__(self, "xi8", float(xi8))
 
 
-def chamber_mask(xi3, xi8):
-    """Chamber membership of chart points, for floats or arrays of one shape.
+def chamber_mask(xi3: float, xi8: float) -> bool:
+    """Chamber membership of the chart point (xi3, xi8).
 
     xi3 >= 0 and xi8 >= xi3 / sqrt(3) read r1 >= r2 and r2 >= r3, within
     CHAMBER_TOL. The upper bound reads r3 >= -CHAMBER_TOL and is computed as
@@ -121,7 +121,7 @@ def chamber_mask(xi3, xi8):
     of every spectrum Spectrum admits (r3 >= -1e-12) passes it.
     """
     tol = CHAMBER_TOL
-    return (xi3 >= -tol) & (xi8 >= xi3 / SQRT3 - tol) & (xi8 <= (1.0 + 3.0 * tol) / 2.0)
+    return xi3 >= -tol and xi8 >= xi3 / SQRT3 - tol and xi8 <= (1.0 + 3.0 * tol) / 2.0
 
 
 def require_chamber(c: QutritChart) -> None:
@@ -154,13 +154,15 @@ def conversion_factor(n: int) -> float:
 
 
 def metric_convert(
-    d: float, n: int, source: MetricConvention, target: MetricConvention
+    d: float, n: int, source: MetricConvention | str, target: MetricConvention | str
 ) -> float:
-    """Convert a distance value between the two conventions."""
+    """Convert a distance value between the two conventions, given as
+    MetricConvention members or their values; any other raises ValueError."""
     factor = conversion_factor(n)
+    source, target = MetricConvention(source), MetricConvention(target)
     if not d >= 0:
         raise ValueError("distances are non-negative")
-    if source == target:
+    if source is target:
         return float(d)
     if source is MetricConvention.FROBENIUS:
         return float(d) * factor

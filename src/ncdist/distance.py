@@ -78,7 +78,7 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     """
     z = check_zeta(zeta)
     require_chamber(c)
-    code, nearest_xy, d_paper, p = _cut_projection(c.xi3, c.xi8, z)
+    [(code, nearest_xy, d_paper, p)] = _cut_projection((c.xi3,), c.xi8, z)
     region = REGIONS[code]
     floor = 1.0 / 3.0 - (4.0 / 3.0) * p
     classical = region is Region.OQR

@@ -129,13 +129,14 @@ def positivity_polytope(kernel: KernelSpectrum) -> Polytope:
     return Polytope(n=n, vertices=tuple(vertices))
 
 
-def absolute_radius(n: int, convention: MetricConvention) -> float:
+def absolute_radius(n: int, convention: MetricConvention | str) -> float:
     """Radius of the ball around the maximally mixed state whose members are
-    classical for every kernel of dimension n."""
+    classical for every kernel of dimension n; `convention` is a
+    MetricConvention member or its value, any other raises ValueError."""
     if n < 2:
         raise DimensionMismatch("dimension must be at least 2")
     r = math.sqrt(n + 1.0) / (n * n - 1.0)
-    if convention is MetricConvention.FROBENIUS:
+    if MetricConvention(convention) is MetricConvention.FROBENIUS:
         return r * math.sqrt((n - 1.0) / n)
     return r
 
@@ -163,74 +164,46 @@ def qutrit_anchor_points(zeta: float) -> QutritAnchors:
     )
 
 
-def _square(x):
-    """x * x as an exact sum hi + lo (Veltkamp split); floats or arrays."""
-    c = 134217729.0 * x  # 2**27 + 1
-    top = c - (c - x)
-    rest = x - top
-    xx = x * x
-    return xx, ((top * top - xx) + 2.0 * top * rest) + rest * rest
-
-
-def _hypot(x, y):
-    """Correctly rounded sqrt(x^2 + y^2) for floats or arrays of one shape,
-    with |x| and |y| zero or in [1e-150, 1e150].
-
-    np.hypot is one ulp off on about 0.6 % of inputs, which can move the
-    12th printed digit of a scan; math.hypot takes no arrays. One Newton
-    step from h = sqrt(x*x + y*y) on the residual x^2 + y^2 - h^2, summed
-    from exact products, matches math.hypot bit for bit (the tests compare
-    them). h = 0 only where x = y = 0, and there the step adds 0/1.
-    """
-    xx, ex = _square(x)
-    yy, ey = _square(y)
-    s = xx + yy
-    b = s - xx
-    h = s**0.5
-    hh, eh = _square(h)
-    # s - hh is exact (Sterbenz): h*h is within a few ulps of s
-    resid = (s - hh) + ((((xx - (s - b)) + (yy - b)) + ex + ey) - eh)
-    return h + resid / (2.0 * h + (h == 0.0))
-
-
-def _cut_projection(xi3, xi8, zeta: float):
+def _cut_projection(xi3, xi8: float, zeta: float) -> list[tuple]:
     """Region code, nearest classical point, chart-plane distance and line
-    coordinate p of chamber points, for a validated zeta.
+    coordinate p of the chamber points (x, xi8) for x in xi3, a row of
+    floats, for a validated zeta.
 
-    xi3 and xi8 are floats or float arrays of one shape, and the results
-    `(code, (nearest_xi3, nearest_xi8), d_paper, p)` have that shape;
-    `code` indexes REGIONS. In the frame of the cut line, with p along
-    (cos a, sin a), s along (-sin a, cos a) and a = zeta + pi/6, the
-    classical boundary is the segment RQ of the line p = 1/4, from
-    s_R = -tan(zeta)/4 to s_Q = tan(pi/3 - zeta)/4. The distance is 0 for
-    p <= 1/4 and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) otherwise.
-    Boundary ties resolve to OQR on the line, AQT at Q and BRS at R.
+    Returns one tuple `(code, (nearest_xi3, nearest_xi8), d_paper, p)` per
+    point, in row order; `code` indexes REGIONS. In the frame of the cut
+    line, with p along (cos a, sin a), s along (-sin a, cos a) and
+    a = zeta + pi/6, the classical boundary is the segment RQ of the line
+    p = 1/4, from s_R = -tan(zeta)/4 to s_Q = tan(pi/3 - zeta)/4. The
+    distance is 0 for p <= 1/4 and hypot(p - 1/4, s - clamp(s, s_R, s_Q))
+    otherwise, which on the band is p - 1/4. Boundary ties resolve to OQR
+    on the line, AQT at Q and BRS at R. A classical point is its own
+    nearest point.
 
-    The pieces are selected by multiplying with the 0/1 masks `inside`,
-    `beyond`, `aqt`, `brs` and `band` (comparison results or their
-    complement, one of aqt, brs and band true at each point), not by
-    branching. Multiplying a finite float by 0 or 1 and adding 0 is exact,
-    so the same operations serve Python floats and arrays and give
-    bit-identical results for both.
+    The angle terms and the segment ends are computed once per call, so a
+    scan passes a whole grid row and a single point is a one-point row.
     """
     ang = zeta + math.pi / 6.0
     cos_a, sin_a = math.cos(ang), math.sin(ang)
     s_q = 0.25 * math.tan(math.pi / 3.0 - zeta)
     s_r = -0.25 * math.tan(zeta)
-    p = xi3 * cos_a + xi8 * sin_a
-    s = xi8 * cos_a - xi3 * sin_a
-    beyond = p > 0.25 + OQR_TOL
-    inside = 1 - beyond
-    aqt = s >= s_q - _TIE_TOL
-    brs = s <= s_r + _TIE_TOL
-    band = (s < s_q - _TIE_TOL) & (s > s_r + _TIE_TOL)
-    s_near = aqt * s_q + brs * s_r + band * s
-    code = beyond * (aqt + 3 * brs + 2 * band)
-    nearest = (
-        beyond * (0.25 * cos_a - s_near * sin_a) + inside * xi3,
-        beyond * (0.25 * sin_a + s_near * cos_a) + inside * xi8,
-    )
-    return code, nearest, beyond * _hypot(p - 0.25, s - s_near), p
+    # the segment ends, by the band's foot formula at s = s_Q and s = s_R
+    q = (0.25 * cos_a - s_q * sin_a, 0.25 * sin_a + s_q * cos_a)
+    r = (0.25 * cos_a - s_r * sin_a, 0.25 * sin_a + s_r * cos_a)
+    edge, q_tie, r_tie = 0.25 + OQR_TOL, s_q - _TIE_TOL, s_r + _TIE_TOL
+    p8, s8 = xi8 * sin_a, xi8 * cos_a
+    out = []
+    for x in xi3:
+        p = x * cos_a + p8
+        s = s8 - x * sin_a
+        if p <= edge:
+            out.append((0, (x, xi8), 0.0, p))
+        elif s >= q_tie:
+            out.append((1, q, math.hypot(p - 0.25, s - s_q), p))
+        elif s <= r_tie:
+            out.append((3, r, math.hypot(p - 0.25, s - s_r), p))
+        else:
+            out.append((2, (0.25 * cos_a - s * sin_a, 0.25 * sin_a + s * cos_a), p - 0.25, p))
+    return out
 
 
 def _band_region(x, a) -> Region:
@@ -251,4 +224,4 @@ def classify_region(c: QutritChart, zeta: float) -> Region:
     """Which piece of the chamber decomposition a chart point falls in."""
     z = check_zeta(zeta)
     require_chamber(c)
-    return REGIONS[_cut_projection(c.xi3, c.xi8, z)[0]]
+    return REGIONS[_cut_projection((c.xi3,), c.xi8, z)[0][0]]

@@ -304,23 +304,27 @@ class TestScanCommand:
     @pytest.mark.parametrize("convention", ["paper", "frobenius"])
     @pytest.mark.parametrize("res", [2, 60, 201])
     def test_rows_match_closed_form(self, capsys, tmp_path, res, convention):
-        """The row-wise array scan prints what the per-point closed form gives."""
-        out_path = tmp_path / "scan.csv"
-        code, _, _ = run_cli(
-            capsys, "scan", "--zeta", "0.7", "--resolution", str(res),
-            "--convention", convention, "--output", str(out_path),
-        )
-        assert code == 0
-        expected = ["xi3,xi8,region,distance"]
-        for j in range(res):
-            for i in range(res):
-                c = QutritChart((SQRT3 / 2.0) * i / (res - 1), 0.5 * j / (res - 1))
-                if chamber_mask(c.xi3, c.xi8):
-                    r = qutrit_distance(c, 0.7)
-                    d = r.distance_paper if convention == "paper" else r.distance_frobenius
-                    expected.append(f"{_fmt(c.xi3)},{_fmt(c.xi8)},{r.region.value},{_fmt(d)}")
-        assert len(expected) == 1 + res * (res + 1) // 2
-        assert out_path.read_text().splitlines() == expected
+        """The row-wise scan prints what the one-point closed form gives, at
+        zeta = 0, 0.7 and pi/3, where cos(zeta + pi/6) is about 6e-17. The
+        angles run inside each case, so each resolution and convention
+        keeps one test id."""
+        for zeta in (0.0, 0.7, math.pi / 3.0):
+            out_path = tmp_path / f"scan_{zeta!r}.csv"
+            code, _, _ = run_cli(
+                capsys, "scan", "--zeta", repr(zeta), "--resolution", str(res),
+                "--convention", convention, "--output", str(out_path),
+            )
+            assert code == 0
+            expected = ["xi3,xi8,region,distance"]
+            for j in range(res):
+                for i in range(res):
+                    c = QutritChart((SQRT3 / 2.0) * i / (res - 1), 0.5 * j / (res - 1))
+                    if chamber_mask(c.xi3, c.xi8):
+                        r = qutrit_distance(c, zeta)
+                        d = r.distance_paper if convention == "paper" else r.distance_frobenius
+                        expected.append(f"{_fmt(c.xi3)},{_fmt(c.xi8)},{r.region.value},{_fmt(d)}")
+            assert len(expected) == 1 + res * (res + 1) // 2
+            assert out_path.read_text().splitlines() == expected, zeta
 
     def test_invalid_zeta_leaves_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
@@ -492,9 +496,10 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     """Importing the package and the CLI, and commands that run no array
     code, start without numpy, and without fractions, which only the
     oracle uses. These include `polytope` with `--zeta` or `--pi`, whose
-    vertices are integer arithmetic, and every command given a negative
-    `--seed`, which exits 2 before numpy loads. Nor do they load
-    dataclasses or inspect, unless the interpreter's start-up already did.
+    vertices are integer arithmetic, `scan`, whose closed form runs in
+    plain floats, and every command given a negative `--seed`, which exits
+    2 before numpy loads. Nor do they load dataclasses or inspect, unless
+    the interpreter's start-up already did.
     Runs in a child process, because the test suite itself imports numpy."""
     s3 = write_state(tmp_path, "s3.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
     s8 = write_state(
@@ -507,6 +512,9 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         ["kernel", "--n", "3", "--zeta", "0"],
         ["polytope", "--n", "3", "--zeta", "0"],
         ["polytope", "--n", "2", "--pi", QUBIT_PI],
+        ["scan", "--zeta", "0", "--convention", "frobenius", "--resolution", "30",
+         "--output", str(tmp_path / "a.csv")],
+        ["scan", "--zeta-degrees", "30", "--resolution", "30", "--output", str(tmp_path / "b.csv")],
         ["kernel", "--n", "3", "--seed", "-1"],
         ["indicator", "--state", s3, "--seed", "-1"],
         ["polytope", "--n", "3", "--seed", "-1"],
@@ -530,7 +538,7 @@ def test_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2] == "[0, 0, 0, 0, 0, 2, 2, 2, 2] False False"
+    assert proc.stdout.splitlines()[-2] == "[0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2] False False"
     assert proc.stdout.splitlines()[-1] == "[]"
 
 

@@ -219,6 +219,18 @@ class TestMetricConvert:
         with pytest.raises(DimensionMismatch):
             metric_convert(1.0, 1, MetricConvention.PAPER, MetricConvention.PAPER)
 
+    def test_conventions_given_by_value(self):
+        """The enum's string values, which --convention takes, convert as
+        the members do; any other value raises."""
+        for source in MetricConvention:
+            for target in MetricConvention:
+                expected = metric_convert(1.0, 3, source, target)
+                assert metric_convert(1.0, 3, source.value, target.value) == expected
+                assert metric_convert(1.0, 3, source.value, target) == expected
+        for bad in (("frobenius", "bogus"), ("bogus", "paper"), ("bogus", "bogus")):
+            with pytest.raises(ValueError):
+                metric_convert(1.0, 3, *bad)
+
 
 def value_objects() -> dict:
     """One instance of each immutable value type, built afresh per call."""

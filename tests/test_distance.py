@@ -245,7 +245,7 @@ class TestQutritDistance:
         for _ in range(4000):
             c = random_chamber_chart(rng)
             z = float(rng.random()) * ZETA_MAX
-            code, nearest, _, _ = _cut_projection(c.xi3, c.xi8, z)
+            [(code, nearest, _, _)] = _cut_projection([c.xi3], c.xi8, z)
             region = REGIONS[code]
             anchors = qutrit_anchor_points(z)
             end = {Region.AQT: anchors.Q, Region.BRS: anchors.R}.get(region)

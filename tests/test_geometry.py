@@ -22,7 +22,7 @@ from ncdist import (
     tangent_spectrum,
     wigner_floor,
 )
-from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_projection, _hypot
+from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_projection
 from ncdist.wigner import CLASSICAL_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -176,6 +176,14 @@ class TestAbsoluteRadius:
                 frob, n, MetricConvention.FROBENIUS, MetricConvention.PAPER
             ) == pytest.approx(paper, abs=1e-15)
 
+    def test_convention_given_by_value(self):
+        for n in range(2, 9):
+            for convention in MetricConvention:
+                expected = absolute_radius(n, convention)
+                assert absolute_radius(n, convention.value) == expected
+        with pytest.raises(ValueError):
+            absolute_radius(3, "bogus")
+
 
 class TestTangentSpectrum:
     def test_degenerate_qutrit_kernel(self):
@@ -286,16 +294,13 @@ class TestClassifyRegion:
             classify_region(QutritChart(0.0, 0.0), 1.5)
 
 
-def bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 class TestCutProjection:
     @pytest.mark.parametrize("zeta", [0.0, math.pi / 6, ZETA_MAX, 0.5819])
     def test_array_call_matches_scalar_calls(self, zeta):
-        """One evaluation on arrays equals the evaluations on each float, bit
-        for bit, on seeded grid rows and on one-ulp clusters around the
-        three thresholds p = 1/4 + OQR_TOL, s = s_Q - tie and s = s_R + tie."""
+        """One call on each whole row, the points sharing one xi8, equals the
+        one-point calls on each point, bit for bit, on seeded grid rows and
+        on one-ulp clusters around the three thresholds p = 1/4 + OQR_TOL,
+        s = s_Q - tie and s = s_R + tie."""
         rng = np.random.default_rng(71)
         xi3 = [float(x) for x in rng.random(400) * SQRT3 / 2]
         xi8 = [float(x) for x in 0.5 * np.repeat(rng.random(4), 100)]
@@ -313,27 +318,22 @@ class TestCutProjection:
                     xi8.append(x8 + d8 * float(np.spacing(x8)))
             clusters.append((start, len(xi3)))
 
-        code, (n3, n8), d, p = _cut_projection(np.array(xi3), np.array(xi8), zeta)
-        scalar = [_cut_projection(x3, x8, zeta) for x3, x8 in zip(xi3, xi8)]
-        assert code.tolist() == [c for c, _, _, _ in scalar]
-        assert all(isinstance(c, int) for c, _, _, _ in scalar)
-        assert np.array_equal(bits(n3), bits([xy[0] for _, xy, _, _ in scalar]))
-        assert np.array_equal(bits(n8), bits([xy[1] for _, xy, _, _ in scalar]))
-        assert np.array_equal(bits(d), bits([dd for _, _, dd, _ in scalar]))
-        assert np.array_equal(bits(p), bits([pp for _, _, _, pp in scalar]))
+        def hexed(point):
+            code, (n3, n8), d, p = point
+            return code, n3.hex(), n8.hex(), d.hex(), p.hex()
+
+        rows: dict[float, list[int]] = {}
+        for k, x8 in enumerate(xi8):
+            rows.setdefault(x8, []).append(k)
+        by_row = [None] * len(xi3)
+        for x8, ks in rows.items():
+            for k, point in zip(ks, _cut_projection([xi3[k] for k in ks], x8, zeta), strict=True):
+                by_row[k] = point
+        one_point = [_cut_projection([x3], x8, zeta) for x3, x8 in zip(xi3, xi8)]
+        assert all(len(out) == 1 for out in one_point)
+        assert [hexed(point) for point in by_row] == [hexed(out[0]) for out in one_point]
+        code = [c for c, _, _, _ in by_row]
+        assert all(isinstance(c, int) for c in code)
         # each cluster straddles its threshold: OQR/QRST, AQT/QRST, BRS/QRST
         for (lo, hi), pair in zip(clusters, ({0, 2}, {1, 2}, {3, 2})):
-            assert set(code[lo:hi].tolist()) == pair
-
-    def test_hypot_matches_math_hypot(self):
-        """_hypot equals math.hypot bit for bit, on arrays and on floats."""
-        rng = np.random.default_rng(73)
-        for sx, sy in ((1.0, 1.0), (1e-12, 0.5), (0.5, 1e-9), (1e-13, 1e-13)):
-            x = rng.random(100_000) * sx
-            y = (rng.random(100_000) - 0.5) * sy
-            x[:10] = 0.0
-            y[5:15] = 0.0
-            expected = bits(list(map(math.hypot, x.tolist(), y.tolist())))
-            assert np.array_equal(bits(_hypot(x, y)), expected)
-            scalar = [_hypot(a, b) for a, b in zip(x[:2000].tolist(), y[:2000].tolist())]
-            assert np.array_equal(bits(scalar), expected[:2000])
+            assert set(code[lo:hi]) == pair
