@@ -7,8 +7,10 @@ check of the analytic floor). Every command prints one JSON object, except
 `scan`, which streams one CSV file row by row. `indicator` computes the
 distance by the exact projection of `distance_general`. `scan` validates
 zeta once and evaluates the qutrit closed form (`_cut_projection`) once per
-grid row, in plain floats on the row's chamber prefix, without numpy; for
-qutrits the two agree. Exit codes: 0 success, 2 invalid input.
+grid row, in plain floats on the row's chamber prefix, without numpy: it
+gets the row's four region runs (OQR, AQT, QRST, BRS) and their distances,
+and writes each run under its one label. For qutrits the two agree. Exit
+codes: 0 success, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
 )
 from .distance import distance_general
 from .errors import NcdistError
-from .geometry import REGIONS, _cut_projection, positivity_polytope
+from .geometry import REGIONS, _cut_frame, _cut_projection, positivity_polytope
 from .kernel import KernelSpectrum, check_zeta, kernel_from_spectrum, qutrit_kernel, random_kernel
 from .wigner import sampled_min, wigner_floor
 
@@ -173,23 +175,33 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.resolution <= 10_000:
         raise ValueError("resolution must be between 2 and 10000")
     paper = MetricConvention(args.convention) is MetricConvention.PAPER
-    divisor = 1.0 if paper else conversion_factor(3)
+    divisor = conversion_factor(3)
     res = args.resolution
     xi3 = [(SQRT3 / 2.0) * i / (res - 1) for i in range(res)]
     xi3_text = [_fmt(x) for x in xi3]
     # the chamber keeps a prefix of each row: chamber_mask's test
     # xi8 >= xi3 / sqrt(3) - tol, as its other two hold on this grid
     bounds = [x / SQRT3 - CHAMBER_TOL for x in xi3]
+    frame = _cut_frame(zeta)
     with open(args.output, "w", encoding="ascii", newline="\n") as fh:
         fh.write("xi3,xi8,region,distance\n")
         for j in range(res):
             xi8 = 0.5 * j / (res - 1)
-            points = _cut_projection(xi3[: bisect_right(bounds, xi8)], xi8, zeta)
-            middle = [f",{_fmt(xi8)},{region.value}," for region in REGIONS]
-            fh.write("".join([
-                f"{x}{middle[c]}{d / divisor:.12g}\n"
-                for x, (c, _, d, _) in zip(xi3_text, points)
-            ]))
+            y = _fmt(xi8)
+            m = bisect_right(bounds, xi8)
+            ends, d = _cut_projection(xi3[:m], xi8, frame)
+            if not paper:
+                d = [v / divisor for v in d]
+            i0 = ends[0]
+            # OQR's distances are 0, so its run formats no float; the
+            # empty last item ends the run's last line
+            zero = f",{y},OQR,0\n"
+            text = [zero.join([*xi3_text[:i0], ""])]
+            for region, lo, hi in zip(REGIONS[1:], ends, (*ends[1:], m)):
+                mid = f",{y},{region.value},"
+                run = zip(xi3_text[lo:hi], d[lo - i0 : hi - i0])
+                text += [f"{x}{mid}{v:.12g}\n" for x, v in run]
+            fh.write("".join(text))
     return 0
 
 

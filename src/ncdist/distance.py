@@ -22,7 +22,7 @@ from .core import (
     spectrum_from_chart,
 )
 from .errors import DimensionMismatch, InfeasibleModel
-from .geometry import REGIONS, Region, _band_region, _cut_projection
+from .geometry import REGIONS, Region, _band_region, _cut_frame, _cut_point, _cut_projection
 from .kernel import KernelSpectrum, check_zeta
 from .wigner import CLASSICAL_TOL, wigner_floor
 
@@ -78,11 +78,16 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     """
     z = check_zeta(zeta)
     require_chamber(c)
-    [(code, nearest_xy, d_paper, p)] = _cut_projection((c.xi3,), c.xi8, z)
+    frame = _cut_frame(z)
+    ends, d = _cut_projection((c.xi3,), c.xi8, frame)
+    # a one-point row's code is the number of its run ends at 0
+    code = ends.count(0)
+    p, nearest_xy = _cut_point(c.xi3, c.xi8, code, frame)
     region = REGIONS[code]
     floor = 1.0 / 3.0 - (4.0 / 3.0) * p
     classical = region is Region.OQR
     nearest_chart = c if classical else QutritChart(*nearest_xy)
+    d_paper = d[0] if d else 0.0
     return IndicatorResult(
         distance_paper=d_paper,
         distance_frobenius=d_paper / conversion_factor(3),

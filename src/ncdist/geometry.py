@@ -5,6 +5,7 @@ and the qutrit region decomposition."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import accumulate
 
@@ -39,7 +40,7 @@ class Region(Enum):
     BRS = "BRS"  # nearest classical point is R
 
 
-#: regions by the code `_cut_projection` returns
+#: regions by code, in the order of `_cut_projection`'s runs
 REGIONS = (Region.OQR, Region.AQT, Region.QRST, Region.BRS)
 
 
@@ -164,46 +165,78 @@ def qutrit_anchor_points(zeta: float) -> QutritAnchors:
     )
 
 
-def _cut_projection(xi3, xi8: float, zeta: float) -> list[tuple]:
-    """Region code, nearest classical point, chart-plane distance and line
-    coordinate p of the chamber points (x, xi8) for x in xi3, a row of
-    floats, for a validated zeta.
-
-    Returns one tuple `(code, (nearest_xi3, nearest_xi8), d_paper, p)` per
-    point, in row order; `code` indexes REGIONS. In the frame of the cut
-    line, with p along (cos a, sin a), s along (-sin a, cos a) and
-    a = zeta + pi/6, the classical boundary is the segment RQ of the line
-    p = 1/4, from s_R = -tan(zeta)/4 to s_Q = tan(pi/3 - zeta)/4. The
-    distance is 0 for p <= 1/4 and hypot(p - 1/4, s - clamp(s, s_R, s_Q))
-    otherwise, which on the band is p - 1/4. Boundary ties resolve to OQR
-    on the line, AQT at Q and BRS at R. A classical point is its own
-    nearest point.
-
-    The angle terms and the segment ends are computed once per call, so a
-    scan passes a whole grid row and a single point is a one-point row.
-    """
+def _cut_frame(zeta: float) -> tuple[float, float, float, float]:
+    """The cut line's frame for a validated zeta: cos a, sin a, s_Q and
+    s_R, with a = zeta + pi/6 (see :func:`_cut_projection`)."""
     ang = zeta + math.pi / 6.0
-    cos_a, sin_a = math.cos(ang), math.sin(ang)
     s_q = 0.25 * math.tan(math.pi / 3.0 - zeta)
     s_r = -0.25 * math.tan(zeta)
-    # the segment ends, by the band's foot formula at s = s_Q and s = s_R
-    q = (0.25 * cos_a - s_q * sin_a, 0.25 * sin_a + s_q * cos_a)
-    r = (0.25 * cos_a - s_r * sin_a, 0.25 * sin_a + s_r * cos_a)
-    edge, q_tie, r_tie = 0.25 + OQR_TOL, s_q - _TIE_TOL, s_r + _TIE_TOL
+    return math.cos(ang), math.sin(ang), s_q, s_r
+
+
+def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[float]]:
+    """Region runs and chart-plane distances of the chamber points (x, xi8)
+    for x in xi3, an ascending row of floats, in the frame `_cut_frame`
+    gives for the moduli angle.
+
+    In the frame of the cut line, with p along (cos a, sin a), s along
+    (-sin a, cos a) and a = zeta + pi/6, the classical boundary is the
+    segment RQ of the line p = 1/4, from s_R = -tan(zeta)/4 to
+    s_Q = tan(pi/3 - zeta)/4. A point is classical (OQR, code 0) when
+    p <= 1/4 + OQR_TOL; beyond that it is AQT (1) when s >= s_Q - tie,
+    BRS (3) when s <= s_R + tie, and QRST (2) otherwise. The distance is
+    0 on OQR and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) beyond it, which
+    on the band is p - 1/4. Boundary ties resolve to OQR on the line, AQT
+    at Q and BRS at R; `code` indexes REGIONS.
+
+    Along an ascending row p rises and s falls, also in rounded arithmetic:
+    cos a >= 6e-17 > 0 and sin a >= 1/2 for every valid zeta, and rounding
+    a product or a sum is monotone. So each test holds on a prefix or a
+    suffix of the row, and the four regions are four consecutive runs,
+    found by bisection on the same expressions. Returns the run ends
+    `(i0, i1, i2)`: points [0, i0) are OQR, [i0, i1) AQT, [i1, i2) QRST
+    and [i2, len) BRS. Then the distances of the points from i0 on, in
+    row order; those of OQR are 0 and left out. A scan computes the frame
+    once and passes each grid row; a single point is a one-point row.
+    """
+    cos_a, sin_a, s_q, s_r = frame
+    q_tie, r_tie = s_q - _TIE_TOL, s_r + _TIE_TOL
     p8, s8 = xi8 * sin_a, xi8 * cos_a
-    out = []
-    for x in xi3:
-        p = x * cos_a + p8
-        s = s8 - x * sin_a
-        if p <= edge:
-            out.append((0, (x, xi8), 0.0, p))
-        elif s >= q_tie:
-            out.append((1, q, math.hypot(p - 0.25, s - s_q), p))
-        elif s <= r_tie:
-            out.append((3, r, math.hypot(p - 0.25, s - s_r), p))
-        else:
-            out.append((2, (0.25 * cos_a - s * sin_a, 0.25 * sin_a + s * cos_a), p - 0.25, p))
-    return out
+    n = len(xi3)
+    i0 = bisect_right(xi3, 0.25 + OQR_TOL, key=lambda x: x * cos_a + p8)
+    if i0 == n:  # the whole row is classical
+        return (n, n, n), []
+
+    def neg_s(x):
+        # -(s8 - x * sin_a) exactly, as rounding is symmetric; it rises
+        # along the row, so s >= q_tie on a prefix and s <= r_tie on a suffix
+        return x * sin_a - s8
+
+    i1 = bisect_right(xi3, -q_tie, i0, key=neg_s)
+    i2 = bisect_left(xi3, -r_tie, i1, key=neg_s)
+    hypot = math.hypot
+    # empty runs are skipped, which keeps a one-point row cheap
+    d = []
+    if i0 < i1:
+        d += [hypot(x * cos_a + p8 - 0.25, s8 - x * sin_a - s_q) for x in xi3[i0:i1]]
+    if i1 < i2:
+        d += [x * cos_a + p8 - 0.25 for x in xi3[i1:i2]]
+    if i2 < n:
+        d += [hypot(x * cos_a + p8 - 0.25, s8 - x * sin_a - s_r) for x in xi3[i2:]]
+    return (i0, i1, i2), d
+
+
+def _cut_point(x: float, xi8: float, code: int, frame) -> tuple[float, tuple[float, float]]:
+    """Line coordinate p and nearest classical point of the chamber point
+    (x, xi8) in region `code`, by the expressions of :func:`_cut_projection`:
+    the point itself on OQR, else the foot (1/4, s) on the cut line with s
+    held at s_Q on AQT and at s_R on BRS."""
+    cos_a, sin_a, s_q, s_r = frame
+    p = x * cos_a + xi8 * sin_a
+    if code == 0:
+        return p, (x, xi8)
+    s = s_q if code == 1 else s_r if code == 3 else xi8 * cos_a - x * sin_a
+    return p, (0.25 * cos_a - s * sin_a, 0.25 * sin_a + s * cos_a)
 
 
 def _band_region(x, a) -> Region:
@@ -224,4 +257,6 @@ def classify_region(c: QutritChart, zeta: float) -> Region:
     """Which piece of the chamber decomposition a chart point falls in."""
     z = check_zeta(zeta)
     require_chamber(c)
-    return REGIONS[_cut_projection((c.xi3,), c.xi8, z)[0][0]]
+    ends, _ = _cut_projection((c.xi3,), c.xi8, _cut_frame(z))
+    # a one-point row's code is the number of its run ends at 0
+    return REGIONS[ends.count(0)]

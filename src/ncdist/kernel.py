@@ -51,10 +51,18 @@ class KernelSpectrum(Frozen):
         return np.array(self.values, dtype=float)
 
     def residuals(self) -> tuple[float, float]:
-        """Absolute residuals of the two trace conditions."""
-        res_trace = abs(math.fsum(self.values) - 1.0)
-        res_square = abs(math.fsum(v * v for v in self.values) - self.n)
-        return res_trace, res_square
+        """Absolute residuals of the two trace conditions; a sum that
+        overflows on the way reads inf."""
+        return _residual(self.values, 1.0), _residual([v * v for v in self.values], self.n)
+
+
+def _residual(terms: Sequence[float], target: float) -> float:
+    """|fsum(terms) - target|, or inf where fsum overflows: its partial sums
+    pass the float range, so no admissible kernel is that large."""
+    try:
+        return abs(math.fsum(terms) - target)
+    except OverflowError:
+        return math.inf
 
 
 def check_zeta(zeta: float) -> float:

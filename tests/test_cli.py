@@ -441,6 +441,25 @@ def test_negative_seed_names_the_option(capsys, tmp_path, command):
     assert err == "error: --seed must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["kernel", "indicator", "polytope", "sample-min"])
+def test_kernel_past_float_range_exits_two(capsys, tmp_path, command):
+    """A --pi whose partial sums pass the float range is a master-equation
+    violation, not an overflow traceback."""
+    state = write_state(tmp_path, "s.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
+    argv = {
+        "kernel": ["kernel", "--n", "3"],
+        "indicator": ["indicator", "--state", state],
+        "polytope": ["polytope", "--n", "3"],
+        "sample-min": ["sample-min", "--state", state],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--pi", "1e308,1e308,-1e308")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: master equations violated: |sum(pi) - 1| = inf, |sum(pi^2) - n| = inf\n"
+    )
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ncdist", "kernel", "--n", "3", "--zeta", "0"],

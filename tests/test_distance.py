@@ -30,7 +30,7 @@ from ncdist import (
 )
 from ncdist.core import chamber_mask
 from ncdist.distance import _evaluate, _point, _pool, _project_cut, _x
-from ncdist.geometry import _TIE_TOL, REGIONS, _cut_projection
+from ncdist.geometry import _TIE_TOL, REGIONS, _cut_frame, _cut_point, _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -245,7 +245,10 @@ class TestQutritDistance:
         for _ in range(4000):
             c = random_chamber_chart(rng)
             z = float(rng.random()) * ZETA_MAX
-            [(code, nearest, _, _)] = _cut_projection([c.xi3], c.xi8, z)
+            frame = _cut_frame(z)
+            ends, _ = _cut_projection([c.xi3], c.xi8, frame)
+            code = ends.count(0)
+            _, nearest = _cut_point(c.xi3, c.xi8, code, frame)
             region = REGIONS[code]
             anchors = qutrit_anchor_points(z)
             end = {Region.AQT: anchors.Q, Region.BRS: anchors.R}.get(region)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_chamber_chart
+from conftest import cut_points, random_chamber_chart
 from ncdist import (
     MetricConvention,
     ModuliOutOfRange,
@@ -22,7 +22,7 @@ from ncdist import (
     tangent_spectrum,
     wigner_floor,
 )
-from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_projection
+from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_frame
 from ncdist.wigner import CLASSICAL_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -297,10 +297,10 @@ class TestClassifyRegion:
 class TestCutProjection:
     @pytest.mark.parametrize("zeta", [0.0, math.pi / 6, ZETA_MAX, 0.5819])
     def test_array_call_matches_scalar_calls(self, zeta):
-        """One call on each whole row, the points sharing one xi8, equals the
-        one-point calls on each point, bit for bit, on seeded grid rows and
-        on one-ulp clusters around the three thresholds p = 1/4 + OQR_TOL,
-        s = s_Q - tie and s = s_R + tie."""
+        """One call on each whole row, the points sharing one xi8 sorted
+        ascending, equals the one-point calls on each point, bit for bit,
+        on seeded grid rows and on one-ulp clusters around the three
+        thresholds p = 1/4 + OQR_TOL, s = s_Q - tie and s = s_R + tie."""
         rng = np.random.default_rng(71)
         xi3 = [float(x) for x in rng.random(400) * SQRT3 / 2]
         xi8 = [float(x) for x in 0.5 * np.repeat(rng.random(4), 100)]
@@ -317,22 +317,20 @@ class TestCutProjection:
                     xi3.append(x3 + d3 * float(np.spacing(x3)))
                     xi8.append(x8 + d8 * float(np.spacing(x8)))
             clusters.append((start, len(xi3)))
-
-        def hexed(point):
-            code, (n3, n8), d, p = point
-            return code, n3.hex(), n8.hex(), d.hex(), p.hex()
+        frame = _cut_frame(zeta)
 
         rows: dict[float, list[int]] = {}
         for k, x8 in enumerate(xi8):
             rows.setdefault(x8, []).append(k)
         by_row = [None] * len(xi3)
         for x8, ks in rows.items():
-            for k, point in zip(ks, _cut_projection([xi3[k] for k in ks], x8, zeta), strict=True):
+            ks.sort(key=xi3.__getitem__)
+            for k, point in zip(ks, cut_points([xi3[k] for k in ks], x8, frame), strict=True):
                 by_row[k] = point
-        one_point = [_cut_projection([x3], x8, zeta) for x3, x8 in zip(xi3, xi8)]
+        one_point = [cut_points([x3], x8, frame) for x3, x8 in zip(xi3, xi8)]
         assert all(len(out) == 1 for out in one_point)
-        assert [hexed(point) for point in by_row] == [hexed(out[0]) for out in one_point]
-        code = [c for c, _, _, _ in by_row]
+        assert by_row == [out[0] for out in one_point]
+        code = [c for c, _, _, _, _ in by_row]
         assert all(isinstance(c, int) for c in code)
         # each cluster straddles its threshold: OQR/QRST, AQT/QRST, BRS/QRST
         for (lo, hi), pair in zip(clusters, ({0, 2}, {1, 2}, {3, 2})):

@@ -80,6 +80,20 @@ class TestKernelFromSpectrum:
         with pytest.raises(MasterEquationViolated):
             kernel_from_spectrum(values, 3)
 
+    @pytest.mark.parametrize(
+        "values, residuals",
+        [
+            ((1e308, 1e308, -1e308), (math.inf, math.inf)),
+            ((1.3e154, 1.3e154, 1.0), (2.6e154, math.inf)),
+        ],
+    )
+    def test_rejects_sums_past_float_range(self, values, residuals):
+        """Finite values whose sum or sum of squares overflows in fsum are
+        reported with an inf residual."""
+        with pytest.raises(MasterEquationViolated) as err:
+            kernel_from_spectrum(values, 3)
+        assert (err.value.residual_trace, err.value.residual_square) == residuals
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kernel_from_spectrum((1.0, 1.0, -1.0), 4)
