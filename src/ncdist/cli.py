@@ -102,7 +102,10 @@ def _load_state(path: str) -> tuple[Spectrum, Any]:
     """Read a state file; returns the spectrum and, when given, the matrix
     as a complex numpy array."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("state file is nested too deeply to read") from None
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("state file must be a JSON object with an 'n' field")
     n = data["n"]

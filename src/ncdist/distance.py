@@ -22,9 +22,12 @@ from .core import (
     spectrum_from_chart,
 )
 from .errors import DimensionMismatch, InfeasibleModel
-from .geometry import REGIONS, Region, _band_region, _cut_frame, _cut_point, _cut_projection
+from .geometry import REGIONS, Region, _band_region, _chart_floor, _cut_point
 from .kernel import KernelSpectrum, check_zeta
 from .wigner import CLASSICAL_TOL, wigner_floor
+
+#: d_paper / d_frobenius for qutrits, the constant of every closed-form result
+_QUTRIT_FACTOR = conversion_factor(3)
 
 
 class IndicatorResult(Frozen):
@@ -70,30 +73,25 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     Euclidean in the chart plane, which is the PAPER convention; the
     FROBENIUS value is the same number scaled by sqrt(2/3).
 
-    `classical` is the chart-plane test p <= 1/4 + 0.75e-12. Its floor
-    1/3 - (4/3) p is within 1e-15 of :func:`wigner_floor`, so it can differ
-    from :func:`distance_general` only at the -1e-12 seam: the spectrum
-    (0.4540878927130961, 0.37376698805893516, 0.17214511922796888) at zeta
-    0.6545984418925018 has floor -0.99992e-12 here, -1.00008e-12 there.
+    `floor` is the chart-plane 1/3 - (4/3) p, and `classical` is exactly
+    floor >= -1e-12, read as p <= OQR_EDGE, a threshold derived from that
+    floor. The floor is within 1e-15 of :func:`wigner_floor`, so the flag
+    can differ from :func:`distance_general` only at the -1e-12 seam: the
+    spectrum (0.4540878927130961, 0.37376698805893516, 0.17214511922796888)
+    at zeta 0.6545984418925018 has floor -0.99992e-12 here, -1.00008e-12
+    there.
     """
     z = check_zeta(zeta)
     require_chamber(c)
-    frame = _cut_frame(z)
-    ends, d = _cut_projection((c.xi3,), c.xi8, frame)
-    # a one-point row's code is the number of its run ends at 0
-    code = ends.count(0)
-    p, nearest_xy = _cut_point(c.xi3, c.xi8, code, frame)
-    region = REGIONS[code]
-    floor = 1.0 / 3.0 - (4.0 / 3.0) * p
-    classical = region is Region.OQR
+    code, d_paper, p, nearest_xy = _cut_point(c.xi3, c.xi8, z)
+    classical = code == 0
     nearest_chart = c if classical else QutritChart(*nearest_xy)
-    d_paper = d[0] if d else 0.0
     return IndicatorResult(
         distance_paper=d_paper,
-        distance_frobenius=d_paper / conversion_factor(3),
-        region=region,
+        distance_frobenius=d_paper / _QUTRIT_FACTOR,
+        region=REGIONS[code],
         nearest=spectrum_from_chart(nearest_chart),
-        floor=floor,
+        floor=_chart_floor(p),
         classical=classical,
     )
 

@@ -22,10 +22,6 @@ from .errors import DimensionMismatch
 from .kernel import KernelSpectrum, check_zeta
 from .wigner import CLASSICAL_TOL
 
-#: chart-plane counterpart of CLASSICAL_TOL: the floor equals
-#: 1/3 - (4/3) p, so floor >= -CLASSICAL_TOL reads p <= 1/4 + OQR_TOL
-OQR_TOL = 0.75 * CLASSICAL_TOL
-
 #: ties on the foot position resolve toward Q and R (boundary cases agree
 #: on the distance, so the label is a reporting choice)
 _TIE_TOL = 1e-12
@@ -174,6 +170,27 @@ def _cut_frame(zeta: float) -> tuple[float, float, float, float]:
     return math.cos(ang), math.sin(ang), s_q, s_r
 
 
+def _chart_floor(p: float) -> float:
+    """Wigner floor of a qutrit at line coordinate p (see :func:`_cut_projection`)."""
+    return 1.0 / 3.0 - (4.0 / 3.0) * p
+
+
+def _oqr_edge() -> float:
+    """The largest p whose chart floor is >= -CLASSICAL_TOL, a float step at
+    a time from the rounded root, as the floor falls while p rises."""
+    p = 0.25 + 0.75 * CLASSICAL_TOL
+    while _chart_floor(p) < -CLASSICAL_TOL:
+        p = math.nextafter(p, 0.0)
+    while _chart_floor(math.nextafter(p, 1.0)) >= -CLASSICAL_TOL:
+        p = math.nextafter(p, 1.0)
+    return p
+
+
+#: classical edge of the line coordinate: p <= OQR_EDGE exactly when the
+#: chart floor 1/3 - (4/3) p is >= -CLASSICAL_TOL
+OQR_EDGE = _oqr_edge()
+
+
 def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[float]]:
     """Region runs and chart-plane distances of the chamber points (x, xi8)
     for x in xi3, an ascending row of floats, in the frame `_cut_frame`
@@ -183,7 +200,8 @@ def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[
     (-sin a, cos a) and a = zeta + pi/6, the classical boundary is the
     segment RQ of the line p = 1/4, from s_R = -tan(zeta)/4 to
     s_Q = tan(pi/3 - zeta)/4. A point is classical (OQR, code 0) when
-    p <= 1/4 + OQR_TOL; beyond that it is AQT (1) when s >= s_Q - tie,
+    p <= OQR_EDGE, that is when its floor :func:`_chart_floor` is
+    >= -CLASSICAL_TOL; beyond that it is AQT (1) when s >= s_Q - tie,
     BRS (3) when s <= s_R + tie, and QRST (2) otherwise. The distance is
     0 on OQR and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) beyond it, which
     on the band is p - 1/4. Boundary ties resolve to OQR on the line, AQT
@@ -197,13 +215,13 @@ def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[
     `(i0, i1, i2)`: points [0, i0) are OQR, [i0, i1) AQT, [i1, i2) QRST
     and [i2, len) BRS. Then the distances of the points from i0 on, in
     row order; those of OQR are 0 and left out. A scan computes the frame
-    once and passes each grid row; a single point is a one-point row.
+    once and passes each grid row; :func:`_cut_point` reads a one-point row.
     """
     cos_a, sin_a, s_q, s_r = frame
     q_tie, r_tie = s_q - _TIE_TOL, s_r + _TIE_TOL
     p8, s8 = xi8 * sin_a, xi8 * cos_a
     n = len(xi3)
-    i0 = bisect_right(xi3, 0.25 + OQR_TOL, key=lambda x: x * cos_a + p8)
+    i0 = bisect_right(xi3, OQR_EDGE, key=lambda x: x * cos_a + p8)
     if i0 == n:  # the whole row is classical
         return (n, n, n), []
 
@@ -226,17 +244,22 @@ def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[
     return (i0, i1, i2), d
 
 
-def _cut_point(x: float, xi8: float, code: int, frame) -> tuple[float, tuple[float, float]]:
-    """Line coordinate p and nearest classical point of the chamber point
-    (x, xi8) in region `code`, by the expressions of :func:`_cut_projection`:
-    the point itself on OQR, else the foot (1/4, s) on the cut line with s
-    held at s_Q on AQT and at s_R on BRS."""
+def _cut_point(x: float, xi8: float, zeta: float) -> tuple[int, float, float, tuple[float, float]]:
+    """Region code (an index into REGIONS), chart-plane distance, line
+    coordinate p and nearest classical point of the chamber point (x, xi8)
+    for a validated zeta, read off a one-point row of :func:`_cut_projection`:
+    the nearest point is the point itself on OQR, else the foot (1/4, s) on
+    the cut line with s held at s_Q on AQT and at s_R on BRS."""
+    frame = _cut_frame(zeta)
+    ends, d = _cut_projection((x,), xi8, frame)
+    # a one-point row's code is the number of its run ends at 0
+    code = ends.count(0)
     cos_a, sin_a, s_q, s_r = frame
     p = x * cos_a + xi8 * sin_a
     if code == 0:
-        return p, (x, xi8)
+        return code, 0.0, p, (x, xi8)
     s = s_q if code == 1 else s_r if code == 3 else xi8 * cos_a - x * sin_a
-    return p, (0.25 * cos_a - s * sin_a, 0.25 * sin_a + s * cos_a)
+    return code, d[0], p, (0.25 * cos_a - s * sin_a, 0.25 * sin_a + s * cos_a)
 
 
 def _band_region(x, a) -> Region:
@@ -257,6 +280,4 @@ def classify_region(c: QutritChart, zeta: float) -> Region:
     """Which piece of the chamber decomposition a chart point falls in."""
     z = check_zeta(zeta)
     require_chamber(c)
-    ends, _ = _cut_projection((c.xi3,), c.xi8, _cut_frame(z))
-    # a one-point row's code is the number of its run ends at 0
-    return REGIONS[ends.count(0)]
+    return REGIONS[_cut_point(c.xi3, c.xi8, z)[0]]

@@ -97,7 +97,7 @@ def qutrit_kernel(zeta: float) -> KernelSpectrum:
 def kernel_from_spectrum(values: Sequence[float], n: int) -> KernelSpectrum:
     """Validate an externally supplied kernel spectrum of dimension n."""
     vals = tuple(float(v) for v in values)
-    if n < 2 or len(vals) != n:
+    if len(vals) != n:
         raise DimensionMismatch(f"expected {n} values, got {len(vals)}")
     return KernelSpectrum(vals)
 

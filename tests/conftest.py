@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import settings
 
 from ncdist import QutritChart, Spectrum, haar_unitary
-from ncdist.geometry import _cut_point, _cut_projection
+from ncdist.geometry import _cut_frame, _cut_point, _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -39,15 +39,17 @@ def random_density_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return (u * r.as_array()) @ u.conj().T
 
 
-def cut_points(row, xi8, frame) -> list[tuple]:
+def cut_points(row, xi8, zeta) -> list[tuple]:
     """Per point of an ascending row, from one `_cut_projection` call:
     region code, then float.hex of the nearest point's coordinates, the
-    distance and the line coordinate p."""
-    ends, d = _cut_projection(row, xi8, frame)
+    distance and the line coordinate p. The nearest point and p come from
+    the point's own `_cut_point` call, whose code must be the row's."""
+    ends, d = _cut_projection(row, xi8, _cut_frame(zeta))
     out = []
     for k, x in enumerate(row):
         code = bisect_right(ends, k)
-        p, (n3, n8) = _cut_point(x, xi8, code, frame)
+        own_code, _, p, (n3, n8) = _cut_point(x, xi8, zeta)
+        assert own_code == code
         dist = d[k - ends[0]] if code else 0.0
         out.append((code, n3.hex(), n8.hex(), dist.hex(), p.hex()))
     return out

@@ -460,6 +460,26 @@ def test_kernel_past_float_range_exits_two(capsys, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", ["kernel", "polytope"])
+def test_dimension_one_kernel_exits_two(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n", "1", "--pi", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: kernel dimension must be at least 2\n"
+
+
+@pytest.mark.parametrize("command", ["indicator", "sample-min"])
+def test_deeply_nested_state_exits_two(capsys, tmp_path, command):
+    """A spectrum nested past the JSON decoder's recursion limit is invalid
+    input, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 3, "spectrum": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, command, "--state", str(path), "--zeta", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: state file is nested too deeply to read\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ncdist", "kernel", "--n", "3", "--zeta", "0"],

@@ -15,6 +15,7 @@ from ncdist import (
     Spectrum,
     bruteforce_project,
     chart_from_spectrum,
+    classify_region,
     distance_general,
     is_classical,
     kernel_from_spectrum,
@@ -30,7 +31,7 @@ from ncdist import (
 )
 from ncdist.core import chamber_mask
 from ncdist.distance import _evaluate, _point, _pool, _project_cut, _x
-from ncdist.geometry import _TIE_TOL, REGIONS, _cut_frame, _cut_point, _cut_projection
+from ncdist.geometry import _TIE_TOL, REGIONS, _cut_point
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -217,6 +218,27 @@ class TestQutritDistance:
             assert res.classical == (res.distance_paper == 0.0)
             assert res.classical == (res.floor >= -1e-12)
 
+    @pytest.mark.parametrize(
+        "xi3, xi8, zeta",
+        [
+            (0.15813812610572014, 0.20850424295660192, 0.09828952942630335),
+            (0.22547938482588353, 0.20063181600533322, 0.7982578356758974),
+            (0.07096448849532509, 0.362423741838049, 0.026646843320441177),
+        ],
+    )
+    def test_classical_flag_at_the_seam_float(self, xi3, xi8, zeta):
+        """Points whose line coordinate is the float p = 1/4 + 0.75e-12,
+        where the floor 1/3 - (4/3) p rounds to -1.0000334e-12: below
+        -1e-12, so not classical, not OQR and at a nonzero distance."""
+        assert _cut_point(xi3, xi8, zeta)[2] == 0.25 + 0.75e-12
+        c = QutritChart(xi3, xi8)
+        res = qutrit_distance(c, zeta)
+        assert res.floor < -1e-12
+        assert not res.classical
+        assert res.distance_paper > 0.0
+        assert res.region is not Region.OQR
+        assert classify_region(c, zeta) is res.region
+
     def test_rejects_out_of_chamber(self):
         with pytest.raises(OutOfChamber):
             qutrit_distance(QutritChart(0.5, 0.1), 0.2)
@@ -245,10 +267,7 @@ class TestQutritDistance:
         for _ in range(4000):
             c = random_chamber_chart(rng)
             z = float(rng.random()) * ZETA_MAX
-            frame = _cut_frame(z)
-            ends, _ = _cut_projection([c.xi3], c.xi8, frame)
-            code = ends.count(0)
-            _, nearest = _cut_point(c.xi3, c.xi8, code, frame)
+            code, _, _, nearest = _cut_point(c.xi3, c.xi8, z)
             region = REGIONS[code]
             anchors = qutrit_anchor_points(z)
             end = {Region.AQT: anchors.Q, Region.BRS: anchors.R}.get(region)
@@ -821,8 +840,8 @@ class TestDistanceGeneral:
 
     def test_nonclassical_seam_state_is_not_oqr(self):
         """The floor, just below -1e-12, decides that this state is not
-        classical, although the chart-plane test p <= 1/4 + OQR_TOL of
-        qutrit_distance, rounded differently, calls it classical. A
+        classical, although qutrit_distance's chart-plane floor
+        1/3 - (4/3) p, rounded differently, calls it classical. A
         nonclassical state takes the region of its nearest point under the
         Q/R tie rule, never OQR."""
         r = Spectrum((0.4540878927130961, 0.37376698805893516, 0.17214511922796888))

@@ -22,7 +22,7 @@ from ncdist import (
     tangent_spectrum,
     wigner_floor,
 )
-from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_frame
+from ncdist.geometry import OQR_EDGE, _TIE_TOL
 from ncdist.wigner import CLASSICAL_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -294,21 +294,41 @@ class TestClassifyRegion:
             classify_region(QutritChart(0.0, 0.0), 1.5)
 
 
+def floats_around(x: float, k: int) -> list[float]:
+    """The 2k + 1 consecutive floats centred on x."""
+    for _ in range(k):
+        x = math.nextafter(x, -math.inf)
+    out = [x]
+    for _ in range(2 * k):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
 class TestCutProjection:
     @pytest.mark.parametrize("zeta", [0.0, math.pi / 6, ZETA_MAX, 0.5819])
     def test_array_call_matches_scalar_calls(self, zeta):
         """One call on each whole row, the points sharing one xi8 sorted
         ascending, equals the one-point calls on each point, bit for bit,
-        on seeded grid rows and on one-ulp clusters around the three
-        thresholds p = 1/4 + OQR_TOL, s = s_Q - tie and s = s_R + tie."""
+        on seeded grid rows and on clusters around the three thresholds:
+        7 x 3 consecutive floats (xi8, xi3) around p = OQR_EDGE, and
+        one-ulp clusters around s = s_Q - tie and s = s_R + tie."""
         rng = np.random.default_rng(71)
         xi3 = [float(x) for x in rng.random(400) * SQRT3 / 2]
         xi8 = [float(x) for x in 0.5 * np.repeat(rng.random(4), 100)]
         a = zeta + math.pi / 6
         s_q = 0.25 * math.tan(math.pi / 3 - zeta)
         s_r = -0.25 * math.tan(zeta)
-        clusters = []
-        for p, s in ((0.25 + OQR_TOL, 0.5 * (s_q + s_r)), (0.3, s_q - _TIE_TOL), (0.3, s_r + _TIE_TOL)):
+        # xi8 steps as well as xi3: at zeta = pi/3, cos a is about 6e-17,
+        # so xi3 barely moves p
+        x3 = OQR_EDGE * math.cos(a) - 0.5 * (s_q + s_r) * math.sin(a)
+        x8 = (OQR_EDGE - x3 * math.cos(a)) / math.sin(a)
+        start = len(xi3)
+        for u8 in floats_around(x8, 3):
+            for u3 in floats_around(x3, 1):
+                xi3.append(u3)
+                xi8.append(u8)
+        clusters = [(start, len(xi3))]
+        for p, s in ((0.3, s_q - _TIE_TOL), (0.3, s_r + _TIE_TOL)):
             x3 = p * math.cos(a) - s * math.sin(a)
             x8 = p * math.sin(a) + s * math.cos(a)
             start = len(xi3)
@@ -317,7 +337,6 @@ class TestCutProjection:
                     xi3.append(x3 + d3 * float(np.spacing(x3)))
                     xi8.append(x8 + d8 * float(np.spacing(x8)))
             clusters.append((start, len(xi3)))
-        frame = _cut_frame(zeta)
 
         rows: dict[float, list[int]] = {}
         for k, x8 in enumerate(xi8):
@@ -325,9 +344,9 @@ class TestCutProjection:
         by_row = [None] * len(xi3)
         for x8, ks in rows.items():
             ks.sort(key=xi3.__getitem__)
-            for k, point in zip(ks, cut_points([xi3[k] for k in ks], x8, frame), strict=True):
+            for k, point in zip(ks, cut_points([xi3[k] for k in ks], x8, zeta), strict=True):
                 by_row[k] = point
-        one_point = [cut_points([x3], x8, frame) for x3, x8 in zip(xi3, xi8)]
+        one_point = [cut_points([x3], x8, zeta) for x3, x8 in zip(xi3, xi8)]
         assert all(len(out) == 1 for out in one_point)
         assert by_row == [out[0] for out in one_point]
         code = [c for c, _, _, _, _ in by_row]

@@ -98,6 +98,12 @@ class TestKernelFromSpectrum:
         with pytest.raises(DimensionMismatch):
             kernel_from_spectrum((1.0, 1.0, -1.0), 4)
 
+    def test_rejects_dimension_one_by_name(self):
+        """One value for n = 1 has the right length; the error names the
+        dimension."""
+        with pytest.raises(DimensionMismatch, match="^kernel dimension must be at least 2$"):
+            kernel_from_spectrum((1.0,), 1)
+
     def test_accepts_hand_typed_decimals(self):
         k = kernel_from_spectrum((1.3660254038, -0.3660254038), 2)
         assert k.n == 2

@@ -26,7 +26,7 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.distance import _project_cut
-from ncdist.geometry import OQR_TOL, _TIE_TOL, _cut_frame, _cut_projection
+from ncdist.geometry import OQR_EDGE, _TIE_TOL, _cut_frame, _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -166,14 +166,14 @@ def test_matrix_input_is_unitarily_invariant():
 def cut_rows(draw):
     """(row, xi8, zeta): an ascending row of chart xi3 values with repeated
     entries and, for some draws, runs of consecutive floats around the
-    points of the row's line where p = 1/4 + OQR_TOL, s = s_Q - tie and
+    points of the row's line where p = OQR_EDGE, s = s_Q - tie and
     s = s_R + tie."""
     zeta = draw(zetas)
     xi8 = draw(st.floats(0.0, 0.5))
     row = draw(st.lists(st.floats(0.0, SQRT3 / 2), max_size=12))
     cos_a, sin_a, s_q, s_r = _cut_frame(zeta)
     centres = (
-        (0.25 + OQR_TOL - xi8 * sin_a) / cos_a,
+        (OQR_EDGE - xi8 * sin_a) / cos_a,
         (xi8 * cos_a - (s_q - _TIE_TOL)) / sin_a,
         (xi8 * cos_a - (s_r + _TIE_TOL)) / sin_a,
     )
@@ -193,11 +193,12 @@ def cut_rows(draw):
 
 def _point_rule(x: float, xi8: float, frame) -> int:
     """Region code of one point by the closed form's tests in turn, on its
-    own p and s: the reference the runs must reproduce."""
+    own p and s: the reference the runs must reproduce. A point is
+    classical when its floor 1/3 - (4/3) p is >= -1e-12."""
     cos_a, sin_a, s_q, s_r = frame
     p = x * cos_a + xi8 * sin_a
     s = xi8 * cos_a - x * sin_a
-    if p <= 0.25 + OQR_TOL:
+    if 1.0 / 3.0 - (4.0 / 3.0) * p >= -1e-12:
         return 0
     if s >= s_q - _TIE_TOL:
         return 1
@@ -214,6 +215,6 @@ def test_row_runs_match_one_point_calls(case):
     (i0, i1, i2), d = _cut_projection(row, xi8, frame)
     assert 0 <= i0 <= i1 <= i2 <= len(row)
     assert len(d) == len(row) - i0
-    points = cut_points(row, xi8, frame)
-    assert points == [pt for x in row for pt in cut_points([x], xi8, frame)]
+    points = cut_points(row, xi8, zeta)
+    assert points == [pt for x in row for pt in cut_points([x], xi8, zeta)]
     assert [code for code, *_ in points] == [_point_rule(x, xi8, frame) for x in row]
