@@ -1,10 +1,10 @@
 """The nonclassicality distance indicator: exact qutrit closed form, exact
 projection onto the positivity polytope for general dimension (one-sided
 Newton steps on the concave, piecewise linear g(lam) = a . x(lam) of the
-multiplier of its one halfspace, floor >= 0, ending on the piece that holds
-the root; each step pools r + lam a from the blocks of the step before it,
-with block sums read off prefix sums), and an exact rational active-set
-oracle."""
+multiplier of its one halfspace, floor >= 0, ending on the pooled blocks
+of the root; each step pools r + lam a from the blocks of the step before
+it, with block sums read off prefix sums), and an exact rational
+active-set oracle."""
 
 from __future__ import annotations
 
@@ -169,15 +169,16 @@ def project_halfspace(values: Sequence[float], normal: Sequence[float]) -> list[
 
 class _Point(NamedTuple):
     """One evaluation of x(lam) on a prefix of m entries: the pooled blocks
-    of r + lam a, as their end indices and values, the shift theta that
-    makes x sum to one, and the linear piece of g through it."""
+    of r + lam a, as their end indices and strictly decreasing values, the
+    shift theta that makes x sum to one, and g and its slope. The blocks
+    are the face of x, and they fix which of g's linear pieces holds the
+    point."""
 
     lam: float
     ends: list[int]
     values: list[float]
     theta: float
     g: float
-    piece: tuple[int, ...]
     slope: float
 
 
@@ -189,55 +190,45 @@ def _point(
     g: float | None,
     pa: Sequence[float],
 ) -> _Point:
-    """Read g(lam) = a . x, unless given, and its linear piece off the
-    blocks of x = value - theta, with pa the prefix sums of a.
+    """Read g(lam) = a . x, unless given, and its slope off the blocks of
+    x = value - theta, with pa the prefix sums of a.
 
-    The piece is fixed by the blocks; adjacent blocks of equal value count
-    as one. Along the piece x moves by the block means of a minus their
+    While the blocks stay fixed, x moves by the block means of a minus their
     mean over the prefix, so the slope is the block-size-weighted spread of
     those block means, a non-negative sum without cancellation.
     """
-    piece: list[int] = []
+    mean_t = pa[ends[-1]] / ends[-1]
     terms: list[float] = []
-    start = 0
-    previous = math.nan
-    for end, value in zip(ends, values):
-        if g is None:
-            terms.append((value - theta) * (pa[end] - pa[start]))
-        if value == previous:
-            piece[-1] = end
-        else:
-            piece.append(end)
-        start = end
-        previous = value
-    mean_t = pa[start] / start
     slope = 0.0
     start = 0
-    for end in piece:
-        slope += (end - start) * ((pa[end] - pa[start]) / (end - start) - mean_t) ** 2
+    for end, value in zip(ends, values):
+        sum_a = pa[end] - pa[start]
+        terms.append((value - theta) * sum_a)
+        slope += (end - start) * (sum_a / (end - start) - mean_t) ** 2
         start = end
     if g is None:
         g = math.fsum(terms)
-    return _Point(lam, ends, values, theta, g, tuple(piece), slope)
+    return _Point(lam, ends, values, theta, g, slope)
 
 
 def _evaluate(pr: Sequence[float], pa: Sequence[float], lam: float, ends: Iterable[int]) -> _Point:
-    """x(lam) = project_monotone_nonincreasing(r + lam a) - theta and its
-    piece of g on the prefix of m entries that `ends` spans, on blocks: pr
+    """x(lam) = project_monotone_nonincreasing(r + lam a) - theta, g and
+    its slope on the prefix of m entries that `ends` spans, on blocks: pr
     and pa are the prefix sums of r and a, so a block's value is its sum of
     r + lam a over its length, a function of its ends alone, and theta =
     (pr[m] + lam pa[m] - 1) / m makes x sum to one.
 
     Pool adjacent violators starting from the blocks `ends`, which must be
     those of r + lam' a at some lam' <= lam: raising lam only merges
-    blocks.
+    blocks. Ties pool too, so the block values strictly decrease: distinct
+    blocks are distinct pieces of g.
     """
     out: list[int] = []
     values: list[float] = []
     start = 0
     for end in ends:
         value = (pr[end] - pr[start] + lam * (pa[end] - pa[start])) / (end - start)
-        while values and values[-1] < value:
+        while values and values[-1] <= value:
             values.pop()
             out.pop()
             start = out[-1] if out else 0
@@ -256,22 +247,24 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     Leave out the sign row x_n >= 0 at first. By the KKT conditions the
     answer is then x(lam) = project_monotone_nonincreasing(r + lam a) -
     theta (:func:`_evaluate`) at a lam > 0 where g(lam) = a . x(lam)
-    vanishes. On a piece, a fixed set of pooled blocks, g is linear with
-    the slope of :func:`_point`; raising lam only merges blocks, and a
-    merge can only lower that slope. So g is nondecreasing, piecewise
-    linear and concave, and a Newton step from a point with g < 0 lands at
-    g <= 0: on its own piece, which it has solved, so its point is exact to
-    rounding, or on a strictly later piece.
+    vanishes. While the pooled blocks stay fixed, g is linear with the
+    slope of :func:`_point`, so its pieces are the sets of blocks; raising
+    lam only merges blocks, and a merge can only lower that slope. So g is
+    nondecreasing, piecewise linear and concave, and a Newton step from a
+    point with g < 0 lands at g <= 0: on the blocks it started from, which
+    it has solved, so its point is exact to rounding, or on fewer blocks.
 
-    The search starts at lam = 0 from r's own entries and the piece over
-    all n entries, without an evaluation. There theta shifts r to total
-    one, which Spectrum admits only to within 1e-12, so g is the floor
-    less theta times sum(a). The search keeps a step that lands on a new
-    piece with g < 0, and stops when a step lands on its own piece, at
-    g >= 0, or when the Newton correction rounds to nothing. A zero slope
-    cannot occur while g < 0: it gives every block the same mean of a, so
-    g = sum(a[:m]) / m on the m entries searched. That is 1 / n > 0 on the
-    full problem. After a restart it is at least a . x for the
+    The search starts at lam = 0 without an evaluation, on the pooled
+    blocks of r itself: its runs of equal entries, with r's own values.
+    There theta shifts r to total one, which Spectrum admits only to within
+    1e-12, so g is the floor less theta times sum(a). The search keeps a
+    step that lands on fewer blocks with g < 0, and stops when a step keeps
+    its blocks, at g >= 0, or when the Newton correction rounds to nothing.
+    A step pools from the blocks before it and can only merge them, so a
+    count of blocks tells the two apart. A zero slope cannot occur while
+    g < 0: it gives every block the same mean of a, so g = sum(a[:m]) / m
+    on the m entries searched. That is 1 / n > 0 on the full problem.
+    After a restart it is at least a . x for the
     projection's first m entries, by Chebyshev's sum inequality (a
     ascending, x non-increasing and summing to one), so at least 0.
 
@@ -281,7 +274,7 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     optimum with it. What is left is the same problem on the prefix before
     that entry, and the search restarts there from lam = 0.
 
-    Each kept step enters a strictly later piece, with fewer blocks, so
+    Each kept step has strictly fewer blocks than the one before, so
     there are at most n evaluations per support and at most n - 1
     restarts. A block's value is read off the prefix sums of r and a,
     taken once per call, each step pools from the blocks of the step
@@ -291,13 +284,14 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     pr = [0.0, *accumulate(r)]
     pa = [0.0, *accumulate(a)]
     theta = (pr[n] - 1.0) / n
-    point = _point(0.0, list(range(1, n + 1)), list(r), theta, floor - theta * pa[n], pa)
+    ends = [j for j in range(1, n) if r[j] != r[j - 1]] + [n]
+    point = _point(0.0, ends, [r[j - 1] for j in ends], theta, floor - theta * pa[n], pa)
     while True:
         if point.g < 0.0:
             step = point.lam - point.g / point.slope
             if step != point.lam:
                 last, point = point, _evaluate(pr, pa, step, point.ends)
-                if point.piece != last.piece:
+                if len(point.ends) < len(last.ends):
                     continue
         if point.values[-1] - point.theta >= 0.0:
             return _x(point, n)

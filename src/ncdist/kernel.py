@@ -31,8 +31,7 @@ class KernelSpectrum(Frozen):
 
     def __init__(self, values: tuple[float, ...]):
         vals = tuple(sorted((float(v) for v in values), reverse=True))
-        if len(vals) < 2:
-            raise DimensionMismatch("kernel dimension must be at least 2")
+        _require_dimension(len(vals))
         if not all(map(math.isfinite, vals)):
             raise MasterEquationViolated(math.nan, math.nan)
         object.__setattr__(self, "values", vals)
@@ -54,6 +53,12 @@ class KernelSpectrum(Frozen):
         """Absolute residuals of the two trace conditions; a sum that
         overflows on the way reads inf."""
         return _residual(self.values, 1.0), _residual([v * v for v in self.values], self.n)
+
+
+def _require_dimension(n: int) -> None:
+    """Reject a kernel dimension below 2 by name, before any count of values."""
+    if n < 2:
+        raise DimensionMismatch("kernel dimension must be at least 2")
 
 
 def _residual(terms: Sequence[float], target: float) -> float:
@@ -96,6 +101,7 @@ def qutrit_kernel(zeta: float) -> KernelSpectrum:
 
 def kernel_from_spectrum(values: Sequence[float], n: int) -> KernelSpectrum:
     """Validate an externally supplied kernel spectrum of dimension n."""
+    _require_dimension(n)
     vals = tuple(float(v) for v in values)
     if len(vals) != n:
         raise DimensionMismatch(f"expected {n} values, got {len(vals)}")
@@ -112,8 +118,7 @@ def random_kernel(n: int, seed: int) -> KernelSpectrum:
     """
     import numpy as np
 
-    if n < 2:
-        raise DimensionMismatch("kernel dimension must be at least 2")
+    _require_dimension(n)
     rng = np.random.Generator(np.random.Philox(seed))
     while True:
         g = rng.standard_normal(n)

@@ -462,10 +462,12 @@ def test_kernel_past_float_range_exits_two(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["kernel", "polytope"])
 def test_dimension_one_kernel_exits_two(capsys, command):
-    code, out, err = run_cli(capsys, command, "--n", "1", "--pi", "1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: kernel dimension must be at least 2\n"
+    """Every n below 2 names the dimension, not the count of values."""
+    for n in ("1", "0", "-5"):
+        code, out, err = run_cli(capsys, command, "--n", n, "--pi", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: kernel dimension must be at least 2\n"
 
 
 @pytest.mark.parametrize("command", ["indicator", "sample-min"])

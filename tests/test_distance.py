@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
 
@@ -134,10 +135,10 @@ def textbook_evaluation(r, a, lam):
 
 def expanded_evaluation(r, a, lam):
     """x(lam), g, piece and slope by loops over the entries, in the
-    projector's arithmetic: a pooled block's value is its sum of r + lam a,
-    from prefix sums, over its length; the shift is the excess of the
-    prefix sums' totals over one, over n; g sums x times the sum of a over
-    each pooled block."""
+    projector's arithmetic: ties pool, and a pooled block's value is its
+    sum of r + lam a, from prefix sums, over its length; the shift is the
+    excess of the prefix sums' totals over one, over n; g sums x times the
+    sum of a over each pooled block."""
     pr, pa = prefix_sums(r), prefix_sums(a)
     n = len(r)
 
@@ -147,7 +148,7 @@ def expanded_evaluation(r, a, lam):
     blocks = []
     for i in range(n):
         blocks.append((i, i + 1))
-        while len(blocks) > 1 and value(*blocks[-2]) < value(*blocks[-1]):
+        while len(blocks) > 1 and value(*blocks[-2]) <= value(*blocks[-1]):
             end = blocks.pop()[1]
             blocks[-1] = (blocks[-1][0], end)
     z = [value(s, e) for s, e in blocks for _ in range(s, e)]
@@ -437,17 +438,18 @@ def evaluation_cases(seed=71):
 
 
 class TestBlockEvaluation:
-    """x(lam) and its piece of g on the pooled blocks are, bit for bit,
-    the pooling, shift and tie scan on the expanded lists in the same
-    arithmetic; their pieces are those of the textbook loops."""
+    """x(lam) and g on the pooled blocks are, bit for bit, the pooling and
+    shift on the expanded lists in the same arithmetic; the blocks are the
+    piece, the runs of equal values of the textbook loops."""
 
     def test_matches_expanded_evaluation(self, monkeypatch):
         """At seeded multipliers, at the full-pooling one and at those the
-        search visits; and the search's start at lam = 0, read off r's own
-        entries: its piece and slope, and its g, the floor less the shift
-        times sum(a), to 2**-51 of the exact g(0) of the shifted r (the
-        floor's products are rounded). Where the search runs, r nonclassical, pieces equal the
-        textbook loops' at every seeded and visited multiplier, and x
+        search visits; and the search's start at lam = 0, built as the
+        projector builds it on r's runs of equal entries: its blocks and
+        slope, and its g, the floor less the shift times sum(a), to 2**-51
+        of the exact g(0) of the shifted r (the floor's products are
+        rounded). Where the search runs, r nonclassical, the blocks are the
+        textbook loops' runs at every seeded and visited multiplier, and x
         agrees with theirs to 2 ulps of 1. At lam = 0 and at the
         full-pooling multiplier, which the search never evaluates on all n
         entries, the block sums can split a tie that running means keep."""
@@ -462,9 +464,11 @@ class TestBlockEvaluation:
             if floor < 0.0:
                 n = len(r)
                 theta = (prefix_sums(r)[n] - 1.0) / n
-                start = _point(0.0, list(range(1, n + 1)), list(r), theta, floor - theta * pa[n], pa)
+                ends = [j for j in range(1, n) if r[j] != r[j - 1]] + [n]
+                values = [r[j - 1] for j in ends]
+                start = _point(0.0, ends, values, theta, floor - theta * pa[n], pa)
                 g, piece, slope = expanded_point(list(r), list(r), a)
-                assert (bits((start.slope,)), start.piece) == (bits((slope,)), piece)
+                assert (bits((start.slope,)), tuple(start.ends)) == (bits((slope,)), piece)
                 shift = (sum(map(Fraction, r)) - 1) / n
                 exact = sum((Fraction(v) - shift) * Fraction(w) for v, w in zip(r, a))
                 assert start.g == pytest.approx(float(exact), rel=0.0, abs=2**-51)
@@ -475,12 +479,12 @@ class TestBlockEvaluation:
                 x, g, piece, slope = expanded_evaluation(r, a, lam)
                 assert bits(_x(point, len(r))) == bits(x)
                 assert bits((point.g, point.slope)) == bits((g, slope))
-                assert point.piece == piece
+                assert tuple(point.ends) == piece
                 checked += 1
             for lam in seeded if floor < 0.0 else ():
                 point = cold(r, a, lam)
                 x, piece = textbook_evaluation(r, a, lam)
-                assert point.piece == piece
+                assert tuple(point.ends) == piece
                 assert _x(point, len(r)) == pytest.approx(x, rel=0.0, abs=2**-51)
                 textbook += 1
         assert checked >= 1500 and textbook >= 1200
@@ -491,7 +495,7 @@ class TestBlockEvaluation:
         assert _pool(r) == ([0.5, 0.5, 0.2], [1, 2, 1])
         point = cold(r, a, 0.0)
         x, g, piece, slope = expanded_evaluation(r, a, 0.0)
-        assert point.piece == piece == textbook_evaluation(r, a, 0.0)[1] == (3, 4)
+        assert tuple(point.ends) == piece == textbook_evaluation(r, a, 0.0)[1] == (3, 4)
         assert (bits(_x(point, 4)), bits((point.g, point.slope))) == (bits(x), bits((g, slope)))
 
     def test_restart_holds_a_negative_last_entry_at_zero(self, monkeypatch):
@@ -537,7 +541,8 @@ class TestBlockEvaluation:
         """At every multiplier the search visits, pooling from the blocks
         of the step before gives the block ends, and bit for bit the values,
         theta, g and slope, of pooling from r's own entries on the same
-        prefix; on the evaluation cases at two seeds."""
+        prefix, and the block values strictly decrease; on the evaluation
+        cases at two seeds."""
         calls = count_evaluations(monkeypatch)
         checked = pooled = 0
         for r, a in (*evaluation_cases(), *evaluation_cases(76)):
@@ -551,6 +556,7 @@ class TestBlockEvaluation:
                 warm = _evaluate(pr, pa, lam, ends)
                 ref = _evaluate(pr, pa, lam, range(1, ends[-1] + 1))
                 assert warm.ends == ref.ends
+                assert all(map(operator.gt, warm.values, warm.values[1:]))
                 assert bits(warm.values) == bits(ref.values)
                 assert bits((warm.theta, warm.g, warm.slope)) == bits((ref.theta, ref.g, ref.slope))
                 checked += 1
@@ -769,6 +775,19 @@ class TestDistanceGeneral:
         assert res.distance_paper == pytest.approx(0.3, abs=1e-9)
         assert res.region is Region.QRST
         assert res.floor == pytest.approx(-0.4, abs=1e-12)
+
+    def test_tied_face_stays_tied(self):
+        """r = (0.6, 0.2, 0.2) at zeta = 0 projects onto the face x2 = x3,
+        to (1/2, 1/4, 1/4). The search starts on r's tie as one block and
+        only merges blocks, so the two entries stay equal, within 2**-54 of
+        the oracle's."""
+        r, k = Spectrum((0.6, 0.2, 0.2)), qutrit_kernel(0.0)
+        res = distance_general(r, k)
+        x = res.nearest.values
+        assert x[1] == x[2]
+        assert bits(bruteforce_project(r, k).values) == bits((0.5, 0.25, 0.25))
+        assert x == pytest.approx((0.5, 0.25, 0.25), rel=0.0, abs=2**-54)
+        assert res.region is Region.BRS
 
     def test_pure_qubit_state(self):
         k = kernel_from_spectrum(((1 + SQRT3) / 2, (1 - SQRT3) / 2), 2)

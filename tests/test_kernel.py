@@ -100,9 +100,10 @@ class TestKernelFromSpectrum:
 
     def test_rejects_dimension_one_by_name(self):
         """One value for n = 1 has the right length; the error names the
-        dimension."""
-        with pytest.raises(DimensionMismatch, match="^kernel dimension must be at least 2$"):
-            kernel_from_spectrum((1.0,), 1)
+        dimension, as it does for n = 0 and n = -5."""
+        for n in (1, 0, -5):
+            with pytest.raises(DimensionMismatch, match="^kernel dimension must be at least 2$"):
+                kernel_from_spectrum((1.0,), n)
 
     def test_accepts_hand_typed_decimals(self):
         k = kernel_from_spectrum((1.3660254038, -0.3660254038), 2)
