@@ -9,8 +9,12 @@ distance by the exact projection of `distance_general`. `scan` validates
 zeta once and evaluates the qutrit closed form (`_cut_projection`) once per
 grid row, in plain floats on the row's chamber prefix, without numpy: it
 gets the row's four region runs (OQR, AQT, QRST, BRS) and their distances,
-and writes each run under its one label. For qutrits the two agree. Exit
-codes: 0 success, 2 invalid input.
+and writes each run under its one label. For qutrits the two agree. The
+OQR run is written as fixed text, and the other three runs with one
+printf-style `%` call per row, on a template of `%s,xi8,label,%.12g`
+lines: `%.12g` prints as `format(v, ".12g")`, and the xi8 text comes from
+`_fmt`, so the template holds no other `%`. Exit codes: 0 success, 2
+invalid input.
 """
 
 from __future__ import annotations
@@ -27,12 +31,11 @@ from .core import (
     SQRT3,
     MetricConvention,
     Spectrum,
-    conversion_factor,
     spectrum_from_matrix,
 )
 from .distance import distance_general
 from .errors import NcdistError
-from .geometry import REGIONS, _cut_frame, _cut_projection, positivity_polytope
+from .geometry import QUTRIT_FACTOR, REGIONS, _cut_frame, _cut_projection, positivity_polytope
 from .kernel import KernelSpectrum, check_zeta, kernel_from_spectrum, qutrit_kernel, random_kernel
 from .wigner import sampled_min, wigner_floor
 
@@ -178,7 +181,6 @@ def _cmd_scan(args) -> int:
     if not 2 <= args.resolution <= 10_000:
         raise ValueError("resolution must be between 2 and 10000")
     paper = MetricConvention(args.convention) is MetricConvention.PAPER
-    divisor = conversion_factor(3)
     res = args.resolution
     xi3 = [(SQRT3 / 2.0) * i / (res - 1) for i in range(res)]
     xi3_text = [_fmt(x) for x in xi3]
@@ -194,17 +196,23 @@ def _cmd_scan(args) -> int:
             m = bisect_right(bounds, xi8)
             ends, d = _cut_projection(xi3[:m], xi8, frame)
             if not paper:
-                d = [v / divisor for v in d]
+                d = [v / QUTRIT_FACTOR for v in d]
             i0 = ends[0]
             # OQR's distances are 0, so its run formats no float; the
             # empty last item ends the run's last line
             zero = f",{y},OQR,0\n"
-            text = [zero.join([*xi3_text[:i0], ""])]
-            for region, lo, hi in zip(REGIONS[1:], ends, (*ends[1:], m)):
-                mid = f",{y},{region.value},"
-                run = zip(xi3_text[lo:hi], d[lo - i0 : hi - i0])
-                text += [f"{x}{mid}{v:.12g}\n" for x, v in run]
-            fh.write("".join(text))
+            fh.write(zero.join([*xi3_text[:i0], ""]))
+            # one % call formats the other runs, and %.12g prints as
+            # format(v, ".12g"); y comes from _fmt and the labels are
+            # letters, so the template holds no % of its own
+            template = "".join(
+                f"%s,{y},{region.value},%.12g\n" * (hi - lo)
+                for region, lo, hi in zip(REGIONS[1:], ends, (*ends[1:], m))
+            )
+            fields = [None] * (2 * len(d))
+            fields[0::2] = xi3_text[i0:m]
+            fields[1::2] = d
+            fh.write(template % tuple(fields))
     return 0
 
 
@@ -303,7 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (NcdistError, ValueError, OSError) as exc:
+    # numpy raises MemoryError for an array no address space can map
+    except (NcdistError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

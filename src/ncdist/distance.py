@@ -22,12 +22,9 @@ from .core import (
     spectrum_from_chart,
 )
 from .errors import DimensionMismatch, InfeasibleModel
-from .geometry import REGIONS, Region, _band_region, _chart_floor, _cut_point
+from .geometry import QUTRIT_FACTOR, REGIONS, Region, _band_region, _chart_floor, _cut_point
 from .kernel import KernelSpectrum, check_zeta
 from .wigner import CLASSICAL_TOL, wigner_floor
-
-#: d_paper / d_frobenius for qutrits, the constant of every closed-form result
-_QUTRIT_FACTOR = conversion_factor(3)
 
 
 class IndicatorResult(Frozen):
@@ -88,7 +85,7 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     nearest_chart = c if classical else QutritChart(*nearest_xy)
     return IndicatorResult(
         distance_paper=d_paper,
-        distance_frobenius=d_paper / _QUTRIT_FACTOR,
+        distance_frobenius=d_paper / QUTRIT_FACTOR,
         region=REGIONS[code],
         nearest=spectrum_from_chart(nearest_chart),
         floor=_chart_floor(p),

@@ -16,6 +16,7 @@ from .core import (
     QutritChart,
     Spectrum,
     chart_from_spectrum,
+    conversion_factor,
     require_chamber,
 )
 from .errors import DimensionMismatch
@@ -189,6 +190,9 @@ def _oqr_edge() -> float:
 #: classical edge of the line coordinate: p <= OQR_EDGE exactly when the
 #: chart floor 1/3 - (4/3) p is >= -CLASSICAL_TOL
 OQR_EDGE = _oqr_edge()
+
+#: d_paper / d_frobenius for qutrits, the constant of every closed-form result
+QUTRIT_FACTOR = conversion_factor(3)
 
 
 def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[float]]:

@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from ncdist import QutritChart, haar_unitary, qutrit_distance, random_kernel
 from ncdist.cli import _fmt, main
-from ncdist.core import chamber_mask
+from ncdist.core import CHAMBER_TOL, chamber_mask
+from ncdist.geometry import QUTRIT_FACTOR, REGIONS, _cut_frame, _cut_projection
 
 SQRT3 = math.sqrt(3.0)
 PI_THIRD = "1.0471975511965976"
@@ -223,6 +225,35 @@ class TestIndicatorCommand:
         assert code == 2
 
 
+def per_point_scan(zeta, res, convention):
+    """The scan's CSV as a per-point writer formats it, one f-string per
+    point beyond OQR, from the same `_cut_projection` rows; the reference
+    for the scan's one-call-per-row writer. Also returns the run shape of
+    each row with chamber points, as (run nonempty) for OQR, AQT, QRST, BRS."""
+    xi3 = [(SQRT3 / 2.0) * i / (res - 1) for i in range(res)]
+    xi3_text = [_fmt(x) for x in xi3]
+    bounds = [x / SQRT3 - CHAMBER_TOL for x in xi3]
+    frame = _cut_frame(zeta)
+    text, shapes = ["xi3,xi8,region,distance\n"], []
+    for j in range(res):
+        xi8 = 0.5 * j / (res - 1)
+        y = _fmt(xi8)
+        m = bisect_right(bounds, xi8)
+        ends, d = _cut_projection(xi3[:m], xi8, frame)
+        if convention == "frobenius":
+            d = [v / QUTRIT_FACTOR for v in d]
+        i0 = ends[0]
+        zero = f",{y},OQR,0\n"
+        text.append(zero.join([*xi3_text[:i0], ""]))
+        for region, lo, hi in zip(REGIONS[1:], ends, (*ends[1:], m)):
+            mid = f",{y},{region.value},"
+            run = zip(xi3_text[lo:hi], d[lo - i0 : hi - i0])
+            text += [f"{x}{mid}{v:.12g}\n" for x, v in run]
+        if m:
+            shapes.append(tuple(lo < hi for lo, hi in zip((0, *ends), (*ends, m))))
+    return "".join(text).encode("ascii"), shapes
+
+
 class TestScanCommand:
     def test_small_scan_layout(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
@@ -325,6 +356,33 @@ class TestScanCommand:
                         expected.append(f"{_fmt(c.xi3)},{_fmt(c.xi8)},{r.region.value},{_fmt(d)}")
             assert len(expected) == 1 + res * (res + 1) // 2
             assert out_path.read_text().splitlines() == expected, zeta
+
+    def test_rows_match_per_point_writer(self, capsys, tmp_path):
+        """The one `%` call per row writes the bytes of the per-point
+        writer, at seeded angles and the two ends of the range, in both
+        conventions, on rows of every run shape."""
+        seeded = np.random.default_rng(2020).uniform(0.0, math.pi / 3.0, 4).tolist()
+        shapes = {}
+        for zeta in (0.0, math.pi / 3.0, *seeded):
+            for res in (2, 3, 97, 401):
+                for convention in ("paper", "frobenius"):
+                    out_path = tmp_path / "scan.csv"
+                    code, _, _ = run_cli(
+                        capsys, "scan", "--zeta", repr(zeta), "--resolution", str(res),
+                        "--convention", convention, "--output", str(out_path),
+                    )
+                    assert code == 0
+                    expected, row_shapes = per_point_scan(zeta, res, convention)
+                    assert out_path.read_bytes() == expected, (zeta, res, convention)
+                    shapes.setdefault(zeta, set()).update(row_shapes)
+        # a row with OQR points lies below Q, so it has no AQT run, and a
+        # row beyond the triangle ends on edge OB past R, in BRS: the
+        # fullest rows hold three runs, and BRS is empty only with them all
+        every = set().union(*shapes.values())
+        assert (True, False, False, False) in every
+        assert (False, True, True, True) in every
+        assert (True, False, True, True) in shapes[0.0]  # AQT empty
+        assert (False, True, False, True) in shapes[math.pi / 3.0]  # QRST empty
 
     def test_invalid_zeta_leaves_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
@@ -468,6 +526,17 @@ def test_dimension_one_kernel_exits_two(capsys, command):
         assert code == 2
         assert out == ""
         assert err == "error: kernel dimension must be at least 2\n"
+
+
+@pytest.mark.parametrize("command", ["kernel", "polytope"])
+def test_unallocatable_dimension_exits_two(capsys, command):
+    """A random kernel at n = 10**15 needs 7.11 PiB, which no address space
+    can map, so numpy refuses it at once with a MemoryError; that is
+    invalid input, not a traceback."""
+    code, out, err = run_cli(capsys, command, "--n", str(10**15), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["indicator", "sample-min"])
