@@ -23,16 +23,10 @@ import argparse
 import json
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import Any
 
-from .core import (
-    CHAMBER_TOL,
-    SQRT3,
-    MetricConvention,
-    Spectrum,
-    spectrum_from_matrix,
-)
+from .core import SQRT3, MetricConvention, Spectrum, chamber_mask, spectrum_from_matrix
 from .distance import distance_general
 from .errors import NcdistError
 from .geometry import QUTRIT_FACTOR, REGIONS, _cut_frame, _cut_projection, positivity_polytope
@@ -184,16 +178,15 @@ def _cmd_scan(args) -> int:
     res = args.resolution
     xi3 = [(SQRT3 / 2.0) * i / (res - 1) for i in range(res)]
     xi3_text = [_fmt(x) for x in xi3]
-    # the chamber keeps a prefix of each row: chamber_mask's test
-    # xi8 >= xi3 / sqrt(3) - tol, as its other two hold on this grid
-    bounds = [x / SQRT3 - CHAMBER_TOL for x in xi3]
     frame = _cut_frame(zeta)
     with open(args.output, "w", encoding="ascii", newline="\n") as fh:
         fh.write("xi3,xi8,region,distance\n")
         for j in range(res):
             xi8 = 0.5 * j / (res - 1)
             y = _fmt(xi8)
-            m = bisect_right(bounds, xi8)
+            # chamber_mask holds on a prefix of each row, as its bound on
+            # xi8 rises with xi3 and its other two tests hold on this grid
+            m = bisect_left(xi3, True, key=lambda x: not chamber_mask(x, xi8))
             ends, d = _cut_projection(xi3[:m], xi8, frame)
             if not paper:
                 d = [v / QUTRIT_FACTOR for v in d]

@@ -156,12 +156,13 @@ def conversion_factor(n: int) -> float:
 def metric_convert(
     d: float, n: int, source: MetricConvention | str, target: MetricConvention | str
 ) -> float:
-    """Convert a distance value between the two conventions, given as
-    MetricConvention members or their values; any other raises ValueError."""
+    """Convert a finite, non-negative distance between the two conventions,
+    given as MetricConvention members or their values; anything else raises
+    ValueError."""
     factor = conversion_factor(n)
     source, target = MetricConvention(source), MetricConvention(target)
-    if not d >= 0:
-        raise ValueError("distances are non-negative")
+    if not 0.0 <= d < math.inf:
+        raise ValueError("distances are finite and non-negative")
     if source is target:
         return float(d)
     if source is MetricConvention.FROBENIUS:

@@ -33,17 +33,16 @@ class IndicatorResult(Frozen):
     Distances come in both conventions; `region` is populated for qutrits
     only. `floor` is the Wigner floor of the input state as computed, not
     exact: :func:`wigner_floor` for :func:`distance_general`, the chart-plane
-    1/3 - (4/3) p for :func:`qutrit_distance`. `classical` is the
-    floor >= -1e-12 predicate.
+    1/3 - (4/3) p for :func:`qutrit_distance`. `classical` is not stored:
+    it is floor >= -1e-12, read off `floor` itself.
     """
 
-    __slots__ = ("distance_paper", "distance_frobenius", "region", "nearest", "floor", "classical")
+    __slots__ = ("distance_paper", "distance_frobenius", "region", "nearest", "floor")
     distance_paper: float
     distance_frobenius: float
     region: Region | None
     nearest: Spectrum
     floor: float
-    classical: bool
 
     def __init__(
         self,
@@ -52,14 +51,16 @@ class IndicatorResult(Frozen):
         region: Region | None,
         nearest: Spectrum,
         floor: float,
-        classical: bool,
     ):
         object.__setattr__(self, "distance_paper", distance_paper)
         object.__setattr__(self, "distance_frobenius", distance_frobenius)
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "nearest", nearest)
         object.__setattr__(self, "floor", floor)
-        object.__setattr__(self, "classical", classical)
+
+    @property
+    def classical(self) -> bool:
+        return self.floor >= -CLASSICAL_TOL
 
 
 def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
@@ -70,10 +71,11 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     Euclidean in the chart plane, which is the PAPER convention; the
     FROBENIUS value is the same number scaled by sqrt(2/3).
 
-    `floor` is the chart-plane 1/3 - (4/3) p, and `classical` is exactly
-    floor >= -1e-12, read as p <= OQR_EDGE, a threshold derived from that
-    floor. The floor is within 1e-15 of :func:`wigner_floor`, so the flag
-    can differ from :func:`distance_general` only at the -1e-12 seam: the
+    `floor` is the chart-plane 1/3 - (4/3) p. A point is OQR, at distance
+    0, exactly when it is `classical`: floor >= -1e-12, tested on
+    :func:`_chart_floor` itself. The floor is within 1e-15 of
+    :func:`wigner_floor`, so the flag can differ from
+    :func:`distance_general` only at the -1e-12 seam: the
     spectrum (0.4540878927130961, 0.37376698805893516, 0.17214511922796888)
     at zeta 0.6545984418925018 has floor -0.99992e-12 here, -1.00008e-12
     there.
@@ -81,15 +83,13 @@ def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
     z = check_zeta(zeta)
     require_chamber(c)
     code, d_paper, p, nearest_xy = _cut_point(c.xi3, c.xi8, z)
-    classical = code == 0
-    nearest_chart = c if classical else QutritChart(*nearest_xy)
+    nearest_chart = c if code == 0 else QutritChart(*nearest_xy)
     return IndicatorResult(
         distance_paper=d_paper,
         distance_frobenius=d_paper / QUTRIT_FACTOR,
         region=REGIONS[code],
         nearest=spectrum_from_chart(nearest_chart),
         floor=_chart_floor(p),
-        classical=classical,
     )
 
 
@@ -344,7 +344,6 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
         region=region,
         nearest=nearest,
         floor=floor,
-        classical=classical,
     )
 
 

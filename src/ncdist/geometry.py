@@ -38,7 +38,7 @@ class Region(Enum):
 
 
 #: regions by code, in the order of `_cut_projection`'s runs
-REGIONS = (Region.OQR, Region.AQT, Region.QRST, Region.BRS)
+REGIONS = tuple(Region)
 
 
 class Polytope(Frozen):
@@ -176,21 +176,6 @@ def _chart_floor(p: float) -> float:
     return 1.0 / 3.0 - (4.0 / 3.0) * p
 
 
-def _oqr_edge() -> float:
-    """The largest p whose chart floor is >= -CLASSICAL_TOL, a float step at
-    a time from the rounded root, as the floor falls while p rises."""
-    p = 0.25 + 0.75 * CLASSICAL_TOL
-    while _chart_floor(p) < -CLASSICAL_TOL:
-        p = math.nextafter(p, 0.0)
-    while _chart_floor(math.nextafter(p, 1.0)) >= -CLASSICAL_TOL:
-        p = math.nextafter(p, 1.0)
-    return p
-
-
-#: classical edge of the line coordinate: p <= OQR_EDGE exactly when the
-#: chart floor 1/3 - (4/3) p is >= -CLASSICAL_TOL
-OQR_EDGE = _oqr_edge()
-
 #: d_paper / d_frobenius for qutrits, the constant of every closed-form result
 QUTRIT_FACTOR = conversion_factor(3)
 
@@ -203,29 +188,30 @@ def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[
     In the frame of the cut line, with p along (cos a, sin a), s along
     (-sin a, cos a) and a = zeta + pi/6, the classical boundary is the
     segment RQ of the line p = 1/4, from s_R = -tan(zeta)/4 to
-    s_Q = tan(pi/3 - zeta)/4. A point is classical (OQR, code 0) when
-    p <= OQR_EDGE, that is when its floor :func:`_chart_floor` is
-    >= -CLASSICAL_TOL; beyond that it is AQT (1) when s >= s_Q - tie,
-    BRS (3) when s <= s_R + tie, and QRST (2) otherwise. The distance is
-    0 on OQR and hypot(p - 1/4, s - clamp(s, s_R, s_Q)) beyond it, which
-    on the band is p - 1/4. Boundary ties resolve to OQR on the line, AQT
-    at Q and BRS at R; `code` indexes REGIONS.
+    s_Q = tan(pi/3 - zeta)/4. A point is classical (OQR, code 0) when its
+    floor >= -1e-12, tested on :func:`_chart_floor` itself; beyond that it
+    is AQT (1) when s >= s_Q - tie, BRS (3) when s <= s_R + tie, and
+    QRST (2) otherwise. The distance is 0 on OQR and
+    hypot(p - 1/4, s - clamp(s, s_R, s_Q)) beyond it, which on the band is
+    p - 1/4. Boundary ties resolve to OQR on the line, AQT at Q and BRS at
+    R; `code` indexes REGIONS.
 
     Along an ascending row p rises and s falls, also in rounded arithmetic:
     cos a >= 6e-17 > 0 and sin a >= 1/2 for every valid zeta, and rounding
-    a product or a sum is monotone. So each test holds on a prefix or a
-    suffix of the row, and the four regions are four consecutive runs,
-    found by bisection on the same expressions. Returns the run ends
-    `(i0, i1, i2)`: points [0, i0) are OQR, [i0, i1) AQT, [i1, i2) QRST
-    and [i2, len) BRS. Then the distances of the points from i0 on, in
-    row order; those of OQR are 0 and left out. A scan computes the frame
-    once and passes each grid row; :func:`_cut_point` reads a one-point row.
+    a product or a sum is monotone, so the floor never rises either. So
+    each test holds on a prefix or a suffix of the row, and the four
+    regions are four consecutive runs, found by bisection on the same
+    expressions. Returns the run ends `(i0, i1, i2)`: points [0, i0) are
+    OQR, [i0, i1) AQT, [i1, i2) QRST and [i2, len) BRS. Then the distances
+    of the points from i0 on, in row order; those of OQR are 0 and left
+    out. A scan computes the frame once and passes each grid row;
+    :func:`_cut_point` reads a one-point row.
     """
     cos_a, sin_a, s_q, s_r = frame
     q_tie, r_tie = s_q - _TIE_TOL, s_r + _TIE_TOL
     p8, s8 = xi8 * sin_a, xi8 * cos_a
     n = len(xi3)
-    i0 = bisect_right(xi3, OQR_EDGE, key=lambda x: x * cos_a + p8)
+    i0 = bisect_left(xi3, True, key=lambda x: _chart_floor(x * cos_a + p8) < -CLASSICAL_TOL)
     if i0 == n:  # the whole row is classical
         return (n, n, n), []
 

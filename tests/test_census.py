@@ -1,0 +1,55 @@
+"""The output census of tools/census.py, at its quick size: a tree matches
+itself in every family, and a one-ulp change in the closed form's
+distances is reported."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CENSUS = ROOT / "tools" / "census.py"
+FAMILIES = ["scan", "qutrit-points", "cli-short"]
+
+
+def census(base: Path) -> tuple[int, list[dict]]:
+    """Exit status and per-family summaries of a quick census of this tree
+    against the source directory `base`."""
+    out = subprocess.run(
+        [sys.executable, str(CENSUS), "--base", str(base), "--quick"],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert out.stderr == ""
+    return out.returncode, [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_tree_matches_itself():
+    code, summary = census(ROOT)
+    assert code == 0
+    assert [s["family"] for s in summary] == FAMILIES
+    for s in summary:
+        assert s["cases"] > 0 and s["differ"] == 0 and s["examples"] == []
+
+
+def test_one_ulp_distance_change_is_reported(tmp_path):
+    """A base whose `_cut_projection` returns every distance one float up:
+    qutrit_distance's fields differ wherever the distance is nonzero, and
+    the scan bytes where a 12-digit text moves; the projector's commands
+    do not change."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    geometry = tmp_path / "src" / "ncdist" / "geometry.py"
+    geometry.write_text(
+        geometry.read_text()
+        + "\n\nimport math\n\n_exact = _cut_projection\n\n\n"
+        + "def _cut_projection(xi3, xi8, frame):\n"
+        + "    ends, d = _exact(xi3, xi8, frame)\n"
+        + "    return ends, [math.nextafter(v, 1.0) for v in d]\n"
+    )
+    code, summary = census(tmp_path)
+    assert code == 1
+    scan, points, short = summary
+    assert scan["differ"] > 0 and points["differ"] > 0 and short["differ"] == 0
+    example = points["examples"][0]
+    assert example["base"][1] != example["head"][1]  # distance_paper
+    assert example["base"][0] == example["head"][0]  # region

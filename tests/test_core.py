@@ -25,6 +25,7 @@ from ncdist import (
     metric_convert,
     positivity_polytope,
     qutrit_anchor_points,
+    qutrit_distance,
     qutrit_kernel,
     random_kernel,
     spectrum_from_chart,
@@ -211,8 +212,8 @@ class TestMetricConvert:
                 assert abs(back - d) <= 1e-15
 
     def test_rejects_negative_distance(self):
-        for d in (-1.0, math.nan):
-            with pytest.raises(ValueError):
+        for d in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
                 metric_convert(d, 3, MetricConvention.PAPER, MetricConvention.FROBENIUS)
 
     def test_rejects_dimension_one(self):
@@ -241,6 +242,7 @@ def value_objects() -> dict:
         "qutrit_kernel": k,
         "random_kernel": random_kernel(5, 7),
         "result": distance_general(r, k),
+        "classical_result": qutrit_distance(QutritChart(0.1, 0.2), 0.3),
         "polytope": positivity_polytope(k),
         "chart": chart_from_spectrum(r),
         "anchors": qutrit_anchor_points(0.3),
@@ -252,9 +254,22 @@ def fields(obj) -> list[str]:
     return list(inspect.signature(type(obj)).parameters)
 
 
+def derived(obj) -> list[str]:
+    """Names of the public read-only properties of a value type, computed
+    from its fields."""
+    return [k for k, v in vars(type(obj)).items() if isinstance(v, property) and k[0] != "_"]
+
+
 class TestValueTypes:
     def test_result_has_a_region(self):
         assert value_objects()["result"].region in (Region.AQT, Region.QRST, Region.BRS)
+
+    def test_results_cover_both_flags(self):
+        """The derived flag reads True on the closed form's result and False
+        on the projection's, so the tests below see both values."""
+        objs = value_objects()
+        assert derived(objs["result"]) == ["classical"]
+        assert (objs["classical_result"].classical, objs["result"].classical) == (True, False)
 
     @pytest.mark.parametrize(
         "clone",
@@ -272,7 +287,7 @@ class TestValueTypes:
         back = clone(value)
         assert type(back) is type(value)
         assert back == value
-        names = fields(value)
+        names = fields(value) + derived(value)
         assert [getattr(back, f) for f in names] == [getattr(value, f) for f in names]
 
     @pytest.mark.parametrize("name", sorted(value_objects()))
@@ -292,7 +307,7 @@ class TestValueTypes:
     @pytest.mark.parametrize("name", sorted(value_objects()))
     def test_fields_cannot_be_assigned_or_deleted(self, name):
         value = value_objects()[name]
-        for f in fields(value):
+        for f in fields(value) + derived(value):
             before = getattr(value, f)
             with pytest.raises(AttributeError):
                 setattr(value, f, before)
@@ -308,7 +323,7 @@ class TestValueTypes:
         assert KernelSpectrum(values=(1.0, 1.0, -1.0)) == KernelSpectrum((1.0, -1.0, 1.0))
         assert QutritChart(xi3=0.1, xi8=0.4) == QutritChart(0.1, 0.4)
         assert Polytope(n=3, vertices=(r,)) == Polytope(3, (r,))
-        args = (0.2, 0.1, Region.QRST, r, -0.01, False)
+        args = (0.2, 0.1, Region.QRST, r, -0.01)
         result = IndicatorResult(*args)
         assert IndicatorResult(**dict(zip(fields(result), args))) == result
         assert [getattr(result, f) for f in fields(result)] == list(args)

@@ -22,7 +22,7 @@ from ncdist import (
     tangent_spectrum,
     wigner_floor,
 )
-from ncdist.geometry import OQR_EDGE, _TIE_TOL
+from ncdist.geometry import _TIE_TOL
 from ncdist.wigner import CLASSICAL_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -310,8 +310,10 @@ class TestCutProjection:
         """One call on each whole row, the points sharing one xi8 sorted
         ascending, equals the one-point calls on each point, bit for bit,
         on seeded grid rows and on clusters around the three thresholds:
-        7 x 3 consecutive floats (xi8, xi3) around p = OQR_EDGE, and
-        one-ulp clusters around s = s_Q - tie and s = s_R + tie."""
+        7 x 3 consecutive floats (xi8, xi3) around the rounded root
+        p = 1/4 + 0.75e-12 of floor = -1e-12, whose float below is the last
+        classical p, and one-ulp clusters around s = s_Q - tie and
+        s = s_R + tie."""
         rng = np.random.default_rng(71)
         xi3 = [float(x) for x in rng.random(400) * SQRT3 / 2]
         xi8 = [float(x) for x in 0.5 * np.repeat(rng.random(4), 100)]
@@ -320,8 +322,9 @@ class TestCutProjection:
         s_r = -0.25 * math.tan(zeta)
         # xi8 steps as well as xi3: at zeta = pi/3, cos a is about 6e-17,
         # so xi3 barely moves p
-        x3 = OQR_EDGE * math.cos(a) - 0.5 * (s_q + s_r) * math.sin(a)
-        x8 = (OQR_EDGE - x3 * math.cos(a)) / math.sin(a)
+        edge = 0.25 + 0.75 * CLASSICAL_TOL
+        x3 = edge * math.cos(a) - 0.5 * (s_q + s_r) * math.sin(a)
+        x8 = (edge - x3 * math.cos(a)) / math.sin(a)
         start = len(xi3)
         for u8 in floats_around(x8, 3):
             for u3 in floats_around(x3, 1):
@@ -351,6 +354,7 @@ class TestCutProjection:
         assert by_row == [out[0] for out in one_point]
         code = [c for c, _, _, _, _ in by_row]
         assert all(isinstance(c, int) for c in code)
-        # each cluster straddles its threshold: OQR/QRST, AQT/QRST, BRS/QRST
+        # each cluster straddles its threshold: OQR/QRST, AQT/QRST, BRS/QRST;
+        # the edge cluster so holds an OQR and a non-OQR point
         for (lo, hi), pair in zip(clusters, ({0, 2}, {1, 2}, {3, 2})):
             assert set(code[lo:hi]) == pair

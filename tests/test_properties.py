@@ -26,7 +26,8 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.distance import _project_cut
-from ncdist.geometry import OQR_EDGE, _TIE_TOL, _cut_frame, _cut_projection
+from ncdist.geometry import _TIE_TOL, _cut_frame, _cut_projection
+from ncdist.wigner import CLASSICAL_TOL
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
@@ -166,14 +167,14 @@ def test_matrix_input_is_unitarily_invariant():
 def cut_rows(draw):
     """(row, xi8, zeta): an ascending row of chart xi3 values with repeated
     entries and, for some draws, runs of consecutive floats around the
-    points of the row's line where p = OQR_EDGE, s = s_Q - tie and
-    s = s_R + tie."""
+    points of the row's line where p = 1/4 + 0.75e-12 (the rounded root of
+    floor = -1e-12), s = s_Q - tie and s = s_R + tie."""
     zeta = draw(zetas)
     xi8 = draw(st.floats(0.0, 0.5))
     row = draw(st.lists(st.floats(0.0, SQRT3 / 2), max_size=12))
     cos_a, sin_a, s_q, s_r = _cut_frame(zeta)
     centres = (
-        (OQR_EDGE - xi8 * sin_a) / cos_a,
+        (0.25 + 0.75 * CLASSICAL_TOL - xi8 * sin_a) / cos_a,
         (xi8 * cos_a - (s_q - _TIE_TOL)) / sin_a,
         (xi8 * cos_a - (s_r + _TIE_TOL)) / sin_a,
     )
