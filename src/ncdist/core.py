@@ -72,7 +72,7 @@ class Spectrum(Frozen):
     values: tuple[float, ...]
 
     def __init__(self, values: tuple[float, ...]):
-        vals = tuple(sorted((float(v) for v in values), reverse=True))
+        vals = tuple(sorted(map(float, values), reverse=True))
         if len(vals) < 2:
             raise DimensionMismatch("spectrum dimension must be at least 2")
         if not all(map(math.isfinite, vals)):

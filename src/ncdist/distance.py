@@ -3,7 +3,8 @@ projection onto the positivity polytope for general dimension (one-sided
 Newton steps on the concave, piecewise linear g(lam) = a . x(lam) of the
 multiplier of its one halfspace, floor >= 0, ending on the pooled blocks
 of the root; each step pools r + lam a from the blocks of the step before
-it, with block sums read off prefix sums), and an exact rational
+it, with block sums read off prefix sums, and g and its slope are read
+only after a step that merges blocks or a restart), and an exact rational
 active-set oracle."""
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Frozen,
@@ -24,7 +25,7 @@ from .core import (
 from .errors import DimensionMismatch, InfeasibleModel
 from .geometry import QUTRIT_FACTOR, REGIONS, Region, _band_region, _chart_floor, _cut_point
 from .kernel import KernelSpectrum, check_zeta
-from .wigner import CLASSICAL_TOL, wigner_floor
+from .wigner import floor_is_classical, wigner_floor
 
 
 class IndicatorResult(Frozen):
@@ -34,7 +35,7 @@ class IndicatorResult(Frozen):
     only. `floor` is the Wigner floor of the input state as computed, not
     exact: :func:`wigner_floor` for :func:`distance_general`, the chart-plane
     1/3 - (4/3) p for :func:`qutrit_distance`. `classical` is not stored:
-    it is floor >= -1e-12, read off `floor` itself.
+    it is floor >= -1e-12, :func:`floor_is_classical` of `floor` itself.
     """
 
     __slots__ = ("distance_paper", "distance_frobenius", "region", "nearest", "floor")
@@ -60,7 +61,7 @@ class IndicatorResult(Frozen):
 
     @property
     def classical(self) -> bool:
-        return self.floor >= -CLASSICAL_TOL
+        return floor_is_classical(self.floor)
 
 
 def qutrit_distance(c: QutritChart, zeta: float) -> IndicatorResult:
@@ -164,56 +165,16 @@ def project_halfspace(values: Sequence[float], normal: Sequence[float]) -> list[
     return [float(v) - scale * a for v, a in zip(values, normal)]
 
 
-class _Point(NamedTuple):
-    """One evaluation of x(lam) on a prefix of m entries: the pooled blocks
-    of r + lam a, as their end indices and strictly decreasing values, the
-    shift theta that makes x sum to one, and g and its slope. The blocks
-    are the face of x, and they fix which of g's linear pieces holds the
-    point."""
-
-    lam: float
-    ends: list[int]
-    values: list[float]
-    theta: float
-    g: float
-    slope: float
-
-
-def _point(
-    lam: float,
-    ends: list[int],
-    values: list[float],
-    theta: float,
-    g: float | None,
-    pa: Sequence[float],
-) -> _Point:
-    """Read g(lam) = a . x, unless given, and its slope off the blocks of
-    x = value - theta, with pa the prefix sums of a.
-
-    While the blocks stay fixed, x moves by the block means of a minus their
-    mean over the prefix, so the slope is the block-size-weighted spread of
-    those block means, a non-negative sum without cancellation.
-    """
-    mean_t = pa[ends[-1]] / ends[-1]
-    terms: list[float] = []
-    slope = 0.0
-    start = 0
-    for end, value in zip(ends, values):
-        sum_a = pa[end] - pa[start]
-        terms.append((value - theta) * sum_a)
-        slope += (end - start) * (sum_a / (end - start) - mean_t) ** 2
-        start = end
-    if g is None:
-        g = math.fsum(terms)
-    return _Point(lam, ends, values, theta, g, slope)
-
-
-def _evaluate(pr: Sequence[float], pa: Sequence[float], lam: float, ends: Iterable[int]) -> _Point:
-    """x(lam) = project_monotone_nonincreasing(r + lam a) - theta, g and
-    its slope on the prefix of m entries that `ends` spans, on blocks: pr
-    and pa are the prefix sums of r and a, so a block's value is its sum of
-    r + lam a over its length, a function of its ends alone, and theta =
-    (pr[m] + lam pa[m] - 1) / m makes x sum to one.
+def _evaluate(
+    pr: Sequence[float], pa: Sequence[float], lam: float, ends: Iterable[int]
+) -> tuple[list[int], list[float], float]:
+    """x(lam) = project_monotone_nonincreasing(r + lam a) - theta on the
+    prefix of m entries that `ends` spans, on blocks: its block ends, their
+    strictly decreasing values and theta. pr and pa are the prefix sums of
+    r and a, so a block's value is its sum of r + lam a over its length, a
+    function of its ends alone, and theta = (pr[m] + lam pa[m] - 1) / m
+    makes x sum to one. The blocks are the face of x, and they fix which
+    of g's linear pieces holds the point; :func:`_read` reads g off them.
 
     Pool adjacent violators starting from the blocks `ends`, which must be
     those of r + lam' a at some lam' <= lam: raising lam only merges
@@ -233,8 +194,42 @@ def _evaluate(pr: Sequence[float], pa: Sequence[float], lam: float, ends: Iterab
         out.append(end)
         values.append(value)
         start = end
-    theta = (pr[start] + lam * pa[start] - 1.0) / start
-    return _point(lam, out, values, theta, None, pa)
+    return out, values, (pr[start] + lam * pa[start] - 1.0) / start
+
+
+def _read(
+    ends: list[int], values: list[float], theta: float, pa: Sequence[float]
+) -> tuple[float, float]:
+    """g(lam) = a . x and its slope, read in one pass off the blocks of
+    x = value - theta that :func:`_evaluate` returns, with pa the prefix
+    sums of a: g sums each block's x times its sum of a.
+
+    While the blocks stay fixed, x moves by the block means of a minus their
+    mean over the prefix, so the slope is the block-size-weighted spread of
+    those block means, a non-negative sum without cancellation.
+    """
+    mean_t = pa[ends[-1]] / ends[-1]
+    terms: list[float] = []
+    slope = 0.0
+    start = 0
+    for end, value in zip(ends, values):
+        sum_a = pa[end] - pa[start]
+        terms.append((value - theta) * sum_a)
+        slope += (end - start) * (sum_a / (end - start) - mean_t) ** 2
+        start = end
+    return math.fsum(terms), slope
+
+
+def _slope(ends: list[int], pa: Sequence[float]) -> float:
+    """The slope of :func:`_read` alone, the same sum in the same order,
+    for the search's start, whose g is known."""
+    mean_t = pa[ends[-1]] / ends[-1]
+    slope = 0.0
+    start = 0
+    for end in ends:
+        slope += (end - start) * ((pa[end] - pa[start]) / (end - start) - mean_t) ** 2
+        start = end
+    return slope
 
 
 def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[float]:
@@ -245,7 +240,7 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     answer is then x(lam) = project_monotone_nonincreasing(r + lam a) -
     theta (:func:`_evaluate`) at a lam > 0 where g(lam) = a . x(lam)
     vanishes. While the pooled blocks stay fixed, g is linear with the
-    slope of :func:`_point`, so its pieces are the sets of blocks; raising
+    slope of :func:`_read`, so its pieces are the sets of blocks; raising
     lam only merges blocks, and a merge can only lower that slope. So g is
     nondecreasing, piecewise linear and concave, and a Newton step from a
     point with g < 0 lands at g <= 0: on the blocks it started from, which
@@ -254,14 +249,17 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     The search starts at lam = 0 without an evaluation, on the pooled
     blocks of r itself: its runs of equal entries, with r's own values.
     There theta shifts r to total one, which Spectrum admits only to within
-    1e-12, so g is the floor less theta times sum(a). The search keeps a
-    step that lands on fewer blocks with g < 0, and stops when a step keeps
-    its blocks, at g >= 0, or when the Newton correction rounds to nothing.
-    A step pools from the blocks before it and can only merge them, so a
-    count of blocks tells the two apart. A zero slope cannot occur while
-    g < 0: it gives every block the same mean of a, so g = sum(a[:m]) / m
-    on the m entries searched. That is 1 / n > 0 on the full problem.
-    After a restart it is at least a . x for the
+    1e-12, so g is the floor less theta times sum(a), and only the slope is
+    read. The search keeps a step that lands on fewer blocks with g < 0,
+    and stops when a step keeps its blocks, at g >= 0, or when the Newton
+    correction rounds to nothing. A step pools from the blocks before it
+    and can only merge them, so a count of blocks tells the two apart, and
+    g and its slope (:func:`_read`) are read only after a step that merges
+    blocks, or after a restart: a step that keeps its blocks ends the
+    search, which needs only its last value and theta. A zero slope cannot
+    occur while g < 0: it gives every block the same mean of a, so
+    g = sum(a[:m]) / m on the m entries searched. That is 1 / n > 0 on the
+    full problem. After a restart it is at least a . x for the
     projection's first m entries, by Chebyshev's sum inequality (a
     ascending, x non-increasing and summing to one), so at least 0.
 
@@ -282,26 +280,30 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     pa = [0.0, *accumulate(a)]
     theta = (pr[n] - 1.0) / n
     ends = [j for j in range(1, n) if r[j] != r[j - 1]] + [n]
-    point = _point(0.0, ends, [r[j - 1] for j in ends], theta, floor - theta * pa[n], pa)
+    values = [r[j - 1] for j in ends]
+    lam, g, slope = 0.0, floor - theta * pa[n], _slope(ends, pa)
     while True:
-        if point.g < 0.0:
-            step = point.lam - point.g / point.slope
-            if step != point.lam:
-                last, point = point, _evaluate(pr, pa, step, point.ends)
-                if len(point.ends) < len(last.ends):
+        if g < 0.0:
+            step = lam - g / slope
+            if step != lam:
+                count, lam = len(ends), step
+                ends, values, theta = _evaluate(pr, pa, lam, ends)
+                if len(ends) < count:
+                    g, slope = _read(ends, values, theta, pa)
                     continue
-        if point.values[-1] - point.theta >= 0.0:
-            return _x(point, n)
-        point = _evaluate(pr, pa, 0.0, range(1, point.ends[-1]))
+        if values[-1] - theta >= 0.0:
+            return _x(ends, values, theta, n)
+        lam = 0.0
+        ends, values, theta = _evaluate(pr, pa, lam, range(1, ends[-1]))
+        g, slope = _read(ends, values, theta, pa)
 
 
-def _x(point: _Point, n: int) -> list[float]:
+def _x(ends: list[int], values: list[float], theta: float, n: int) -> list[float]:
     """The point x(lam) itself, each block's value - theta over its length,
     padded with zeros to n entries."""
-    theta = point.theta
     x = _expand(
-        [value - theta for value in point.values],
-        map(operator.sub, point.ends, [0, *point.ends]),
+        [value - theta for value in values],
+        map(operator.sub, ends, [0, *ends]),
     )
     return x + [0.0] * (n - len(x))
 
@@ -326,15 +328,13 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
     AQT within 1e-12 of Q along the cut segment, BRS within 1e-12 of R.
     """
     floor = wigner_floor(r, kernel)
-    classical = floor >= -CLASSICAL_TOL
+    classical = floor_is_classical(floor)
     if classical:
         nearest = r
         d_frob = 0.0
     else:
-        nearest = Spectrum(tuple(_project_cut(r.values, kernel.values[::-1], floor)))
-        d_frob = math.sqrt(
-            math.fsum((a - b) ** 2 for a, b in zip(r.values, nearest.values))
-        )
+        nearest = Spectrum(_project_cut(r.values, kernel.values[::-1], floor))
+        d_frob = math.sqrt(math.fsum([(a - b) ** 2 for a, b in zip(r.values, nearest.values)]))
     region = None
     if r.n == 3:
         region = Region.OQR if classical else _band_region(nearest.values, kernel.values[::-1])

@@ -21,7 +21,7 @@ from .core import (
 )
 from .errors import DimensionMismatch
 from .kernel import KernelSpectrum, check_zeta
-from .wigner import CLASSICAL_TOL
+from .wigner import CLASSICAL_TOL, floor_is_classical
 
 #: ties on the foot position resolve toward Q and R (boundary cases agree
 #: on the distance, so the label is a reporting choice)
@@ -189,7 +189,8 @@ def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[
     (-sin a, cos a) and a = zeta + pi/6, the classical boundary is the
     segment RQ of the line p = 1/4, from s_R = -tan(zeta)/4 to
     s_Q = tan(pi/3 - zeta)/4. A point is classical (OQR, code 0) when its
-    floor >= -1e-12, tested on :func:`_chart_floor` itself; beyond that it
+    floor >= -1e-12, :func:`floor_is_classical` of :func:`_chart_floor`
+    itself; beyond that it
     is AQT (1) when s >= s_Q - tie, BRS (3) when s <= s_R + tie, and
     QRST (2) otherwise. The distance is 0 on OQR and
     hypot(p - 1/4, s - clamp(s, s_R, s_Q)) beyond it, which on the band is
@@ -211,7 +212,7 @@ def _cut_projection(xi3, xi8: float, frame) -> tuple[tuple[int, int, int], list[
     q_tie, r_tie = s_q - _TIE_TOL, s_r + _TIE_TOL
     p8, s8 = xi8 * sin_a, xi8 * cos_a
     n = len(xi3)
-    i0 = bisect_left(xi3, True, key=lambda x: _chart_floor(x * cos_a + p8) < -CLASSICAL_TOL)
+    i0 = bisect_left(xi3, True, key=lambda x: not floor_is_classical(_chart_floor(x * cos_a + p8)))
     if i0 == n:  # the whole row is classical
         return (n, n, n), []
 

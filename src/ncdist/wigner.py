@@ -15,6 +15,7 @@ below n = 16, where the two paths have also measured even."""
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any
 
 from .core import Spectrum
@@ -106,12 +107,19 @@ def wigner_floor(r: Spectrum, kernel: KernelSpectrum) -> float:
     """
     if r.n != kernel.n:
         raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
-    return math.fsum(a * b for a, b in zip(r.values, kernel.values[::-1]))
+    return math.fsum(map(operator.mul, r.values, reversed(kernel.values)))
+
+
+def floor_is_classical(floor: float) -> bool:
+    """The classicality rule, stated once: a Wigner floor counts as
+    classical when it is at least -CLASSICAL_TOL."""
+    return floor >= -CLASSICAL_TOL
 
 
 def is_classical(r: Spectrum, kernel: KernelSpectrum) -> bool:
-    """Whether the Wigner function of the state stays non-negative."""
-    return wigner_floor(r, kernel) >= -CLASSICAL_TOL
+    """Whether the Wigner function of the state stays non-negative, by
+    :func:`floor_is_classical`."""
+    return floor_is_classical(wigner_floor(r, kernel))
 
 
 def haar_unitary(n: int, rng: Any) -> Any:

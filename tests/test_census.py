@@ -1,6 +1,6 @@
 """The output census of tools/census.py, at its quick size: a tree matches
 itself in every family, and a one-ulp change in the closed form's
-distances is reported."""
+distances, or in the projector's nearest points, is reported."""
 
 import json
 import shutil
@@ -10,7 +10,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CENSUS = ROOT / "tools" / "census.py"
-FAMILIES = ["scan", "qutrit-points", "cli-short"]
+FAMILIES = ["scan", "qutrit-points", "cli-short", "general"]
+
+
+def mutated(tmp_path: Path, module: str, patch: str) -> Path:
+    """A copy of the source tree with `patch` appended to ncdist/`module`."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "ncdist" / module
+    path.write_text(path.read_text() + patch)
+    return tmp_path
 
 
 def census(base: Path) -> tuple[int, list[dict]]:
@@ -36,20 +44,40 @@ def test_one_ulp_distance_change_is_reported(tmp_path):
     """A base whose `_cut_projection` returns every distance one float up:
     qutrit_distance's fields differ wherever the distance is nonzero, and
     the scan bytes where a 12-digit text moves; the projector's commands
-    do not change."""
-    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    geometry = tmp_path / "src" / "ncdist" / "geometry.py"
-    geometry.write_text(
-        geometry.read_text()
-        + "\n\nimport math\n\n_exact = _cut_projection\n\n\n"
+    and states do not change."""
+    base = mutated(
+        tmp_path,
+        "geometry.py",
+        "\n\nimport math\n\n_exact = _cut_projection\n\n\n"
         + "def _cut_projection(xi3, xi8, frame):\n"
         + "    ends, d = _exact(xi3, xi8, frame)\n"
-        + "    return ends, [math.nextafter(v, 1.0) for v in d]\n"
+        + "    return ends, [math.nextafter(v, 1.0) for v in d]\n",
     )
-    code, summary = census(tmp_path)
+    code, summary = census(base)
     assert code == 1
-    scan, points, short = summary
-    assert scan["differ"] > 0 and points["differ"] > 0 and short["differ"] == 0
+    scan, points, short, general = summary
+    assert scan["differ"] > 0 and points["differ"] > 0
+    assert short["differ"] == 0 and general["differ"] == 0
     example = points["examples"][0]
     assert example["base"][1] != example["head"][1]  # distance_paper
     assert example["base"][0] == example["head"][0]  # region
+
+
+def test_one_ulp_nearest_point_change_is_reported(tmp_path):
+    """A base whose projector returns every nearest point with its first
+    entry one float up: `distance_general`'s fields differ on nonclassical
+    states, while the closed form's scans and points do not change."""
+    base = mutated(
+        tmp_path,
+        "distance.py",
+        "\n\n_exact = _project_cut\n\n\n"
+        + "def _project_cut(r, a, floor):\n"
+        + "    x = _exact(r, a, floor)\n"
+        + "    return [math.nextafter(x[0], 2.0), *x[1:]]\n",
+    )
+    code, summary = census(base)
+    assert code == 1
+    scan, points, _, general = summary
+    assert scan["differ"] == 0 and points["differ"] == 0 and general["differ"] > 0
+    example = general["examples"][0]
+    assert example["base"][5] != example["head"][5]  # nearest

@@ -31,7 +31,7 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.core import chamber_mask
-from ncdist.distance import _evaluate, _point, _pool, _project_cut, _x
+from ncdist.distance import _evaluate, _pool, _project_cut, _read, _slope, _x
 from ncdist.geometry import _TIE_TOL, REGIONS, _cut_point
 
 SQRT3 = math.sqrt(3.0)
@@ -101,8 +101,12 @@ def prefix_sums(values) -> list[float]:
 
 
 def cold(r, a, lam):
-    """The block evaluator at lam, pooling from r's own entries."""
-    return _evaluate(prefix_sums(r), prefix_sums(a), lam, range(1, len(r) + 1))
+    """The block evaluator at lam, pooling from r's own entries, and the
+    read of g and its slope off its blocks: ends, values, theta, g and
+    slope."""
+    pa = prefix_sums(a)
+    ends, values, theta = _evaluate(prefix_sums(r), pa, lam, range(1, len(r) + 1))
+    return (ends, values, theta, *_read(ends, values, theta, pa))
 
 
 def expanded_point(z, x, a):
@@ -172,6 +176,57 @@ def full_pooling(r, a):
         if gap > 0.0:
             lam = max(lam, (pr[k] / k - pr[n] / n) / gap)
     return lam
+
+
+def two_pass_project_cut(r, a, floor):
+    """The projector before its one-pass loop, kept as the bit-for-bit
+    reference of `_project_cut`: every evaluation pools, then reads g and
+    its slope off its blocks in a second pass, also when the step keeps
+    its blocks and ends the search, and the start reads g's terms as well
+    as its slope."""
+    n = len(r)
+    pr, pa = prefix_sums(r), prefix_sums(a)
+
+    def point(lam, ends, values, theta, g=None):
+        mean_t = pa[ends[-1]] / ends[-1]
+        terms, slope, start = [], 0.0, 0
+        for end, value in zip(ends, values):
+            sum_a = pa[end] - pa[start]
+            terms.append((value - theta) * sum_a)
+            slope += (end - start) * (sum_a / (end - start) - mean_t) ** 2
+            start = end
+        return lam, ends, values, theta, math.fsum(terms) if g is None else g, slope
+
+    def evaluate(lam, ends):
+        out, values, start = [], [], 0
+        for end in ends:
+            value = (pr[end] - pr[start] + lam * (pa[end] - pa[start])) / (end - start)
+            while values and values[-1] <= value:
+                values.pop()
+                out.pop()
+                start = out[-1] if out else 0
+                value = (pr[end] - pr[start] + lam * (pa[end] - pa[start])) / (end - start)
+            out.append(end)
+            values.append(value)
+            start = end
+        return point(lam, out, values, (pr[start] + lam * pa[start] - 1.0) / start)
+
+    theta = (pr[n] - 1.0) / n
+    ends = [j for j in range(1, n) if r[j] != r[j - 1]] + [n]
+    current = point(0.0, ends, [r[j - 1] for j in ends], theta, floor - theta * pa[n])
+    while True:
+        lam, ends, _, _, g, slope = current
+        if g < 0.0:
+            step = lam - g / slope
+            if step != lam:
+                current = evaluate(step, ends)
+                if len(current[1]) < len(ends):
+                    continue
+        _, ends, values, theta, _, _ = current
+        if values[-1] - theta >= 0.0:
+            x = [v - theta for v, s, e in zip(values, [0, *ends], ends) for _ in range(s, e)]
+            return x + [0.0] * (n - len(x))
+        current = evaluate(0.0, range(1, ends[-1]))
 
 
 class TestQutritDistance:
@@ -465,27 +520,25 @@ class TestBlockEvaluation:
                 n = len(r)
                 theta = (prefix_sums(r)[n] - 1.0) / n
                 ends = [j for j in range(1, n) if r[j] != r[j - 1]] + [n]
-                values = [r[j - 1] for j in ends]
-                start = _point(0.0, ends, values, theta, floor - theta * pa[n], pa)
                 g, piece, slope = expanded_point(list(r), list(r), a)
-                assert (bits((start.slope,)), tuple(start.ends)) == (bits((slope,)), piece)
+                assert (bits((_slope(ends, pa),)), tuple(ends)) == (bits((slope,)), piece)
                 shift = (sum(map(Fraction, r)) - 1) / n
                 exact = sum((Fraction(v) - shift) * Fraction(w) for v, w in zip(r, a))
-                assert start.g == pytest.approx(float(exact), rel=0.0, abs=2**-51)
+                assert floor - theta * pa[n] == pytest.approx(float(exact), rel=0.0, abs=2**-51)
                 _project_cut(r, a, floor)
             seeded = [*(full * 1.5 * rng.random(10)), *(lam for lam, _ in calls if lam > 0.0)]
             for lam in (0.0, full, *seeded):
-                point = cold(r, a, lam)
+                ends, values, theta, g_at, slope_at = cold(r, a, lam)
                 x, g, piece, slope = expanded_evaluation(r, a, lam)
-                assert bits(_x(point, len(r))) == bits(x)
-                assert bits((point.g, point.slope)) == bits((g, slope))
-                assert tuple(point.ends) == piece
+                assert bits(_x(ends, values, theta, len(r))) == bits(x)
+                assert bits((g_at, slope_at)) == bits((g, slope))
+                assert tuple(ends) == piece
                 checked += 1
             for lam in seeded if floor < 0.0 else ():
-                point = cold(r, a, lam)
+                ends, values, theta, _, _ = cold(r, a, lam)
                 x, piece = textbook_evaluation(r, a, lam)
-                assert tuple(point.ends) == piece
-                assert _x(point, len(r)) == pytest.approx(x, rel=0.0, abs=2**-51)
+                assert tuple(ends) == piece
+                assert _x(ends, values, theta, len(r)) == pytest.approx(x, rel=0.0, abs=2**-51)
                 textbook += 1
         assert checked >= 1500 and textbook >= 1200
 
@@ -493,10 +546,11 @@ class TestBlockEvaluation:
         r = (0.5, 0.4, 0.6, 0.2)
         a = random_kernel(4, 3).values[::-1]
         assert _pool(r) == ([0.5, 0.5, 0.2], [1, 2, 1])
-        point = cold(r, a, 0.0)
+        ends, values, theta, g_at, slope_at = cold(r, a, 0.0)
         x, g, piece, slope = expanded_evaluation(r, a, 0.0)
-        assert tuple(point.ends) == piece == textbook_evaluation(r, a, 0.0)[1] == (3, 4)
-        assert (bits(_x(point, 4)), bits((point.g, point.slope))) == (bits(x), bits((g, slope)))
+        assert tuple(ends) == piece == textbook_evaluation(r, a, 0.0)[1] == (3, 4)
+        assert bits(_x(ends, values, theta, 4)) == bits(x)
+        assert bits((g_at, slope_at)) == bits((g, slope))
 
     def test_restart_holds_a_negative_last_entry_at_zero(self, monkeypatch):
         """Spectrum admits entries down to -1e-12, and there the sign row
@@ -512,11 +566,11 @@ class TestBlockEvaluation:
         assert bits(x) == bits((0.5, 0.5, 0.0))
         assert [ends for lam, ends in calls if lam == 0.0] == [[1, 2]]
         pr, pa = prefix_sums(r), prefix_sums(a)
-        start = _evaluate(pr, pa, 0.0, [1, 2])
-        assert (start.ends, start.theta) == ([1, 2], (pr[2] - 1.0) / 2)
+        ends, _, theta = _evaluate(pr, pa, 0.0, [1, 2])
+        assert (ends, theta) == ([1, 2], (pr[2] - 1.0) / 2)
         for lam, ends in calls:
-            point = _evaluate(pr, pa, lam, ends)
-            assert point.g >= 0.0 or point.slope > 0.0
+            g, slope = _read(*_evaluate(pr, pa, lam, ends), pa)
+            assert g >= 0.0 or slope > 0.0
 
     def test_raising_lam_only_merges_blocks(self):
         """The block ends of r + lam2 a are a subset of those of r + lam1 a
@@ -532,7 +586,7 @@ class TestBlockEvaluation:
                 r, a = sorted(values.tolist(), reverse=True), kernels[i % 8].values[::-1]
                 pr, pa = prefix_sums(r), prefix_sums(a)
                 lam1, lam2 = sorted(full_pooling(r, a) * 1.5 * rng.random(2))
-                ends = [_evaluate(pr, pa, lam, range(1, n + 1)).ends for lam in (lam1, lam2)]
+                ends = [_evaluate(pr, pa, lam, range(1, n + 1))[0] for lam in (lam1, lam2)]
                 assert lam1 < lam2 and set(ends[1]) <= set(ends[0])
                 triples += 1
         assert triples >= 20000
@@ -555,13 +609,65 @@ class TestBlockEvaluation:
             for lam, ends in calls:
                 warm = _evaluate(pr, pa, lam, ends)
                 ref = _evaluate(pr, pa, lam, range(1, ends[-1] + 1))
-                assert warm.ends == ref.ends
-                assert all(map(operator.gt, warm.values, warm.values[1:]))
-                assert bits(warm.values) == bits(ref.values)
-                assert bits((warm.theta, warm.g, warm.slope)) == bits((ref.theta, ref.g, ref.slope))
+                (warm_ends, warm_values, _), (ref_ends, ref_values, _) = warm, ref
+                assert warm_ends == ref_ends
+                assert all(map(operator.gt, warm_values, warm_values[1:]))
+                assert bits(warm_values) == bits(ref_values)
+                assert bits((warm[2], *_read(*warm, pa))) == bits((ref[2], *_read(*ref, pa)))
                 checked += 1
                 pooled += len(ends) < len(r)
         assert checked >= 250 and pooled >= 100
+
+    def test_matches_two_pass_projector(self, monkeypatch):
+        """The projector returns, bit for bit, the nearest point of the
+        two-pass loop that reads g and its slope after every evaluation:
+        on the evaluation cases at two seeds and on the sign-row states,
+        where the projector restarts."""
+        calls = count_evaluations(monkeypatch)
+        checked = restarted = 0
+        states = [(r.values, k.values[::-1]) for r, k in sign_row_states(np.random.default_rng(82))]
+        for r, a in (*evaluation_cases(), *evaluation_cases(76), *states):
+            floor = math.fsum(v * w for v, w in zip(r, a))
+            if floor >= 0.0:
+                continue
+            calls.clear()
+            assert bits(_project_cut(r, a, floor)) == bits(two_pass_project_cut(r, a, floor))
+            checked += 1
+            restarted += any(lam == 0.0 for lam, _ in calls)
+        assert checked >= 450 and restarted >= 100
+
+    def test_kept_blocks_are_not_read(self, monkeypatch):
+        """g and its slope are read once after each evaluation that merges
+        blocks and after each restart, and never after an evaluation that
+        keeps its blocks, which ends the search; on the evaluation cases
+        at two seeds and on the sign-row states."""
+        events = []
+
+        def evaluate(pr, pa, lam, ends):
+            ends = list(ends)
+            point = _evaluate(pr, pa, lam, ends)
+            # a restart, at lam = 0, or a step that merged blocks
+            events.append("merge" if lam == 0.0 or len(point[0]) < len(ends) else "keep")
+            return point
+
+        def read(ends, values, theta, pa):
+            events.append("read")
+            return _read(ends, values, theta, pa)
+
+        monkeypatch.setattr("ncdist.distance._evaluate", evaluate)
+        monkeypatch.setattr("ncdist.distance._read", read)
+        kept = 0
+        states = [(r.values, k.values[::-1]) for r, k in sign_row_states(np.random.default_rng(82))]
+        for r, a in (*evaluation_cases(), *evaluation_cases(76), *states):
+            floor = math.fsum(v * w for v, w in zip(r, a))
+            if floor >= 0.0:
+                continue
+            events.clear()
+            _project_cut(r, a, floor)
+            assert events.count("read") == events.count("merge") and events[-1] != "merge"
+            assert all(b == "read" for a, b in zip(events, events[1:]) if a == "merge")
+            kept += events.count("keep")
+        assert kept >= 550
 
     def test_public_projections_match_expanded_loops(self):
         """project_monotone_nonincreasing and project_simplex expand the

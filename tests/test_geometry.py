@@ -22,7 +22,7 @@ from ncdist import (
     tangent_spectrum,
     wigner_floor,
 )
-from ncdist.geometry import _TIE_TOL
+from ncdist.geometry import _TIE_TOL, _chart_floor
 from ncdist.wigner import CLASSICAL_TOL
 
 SQRT3 = math.sqrt(3.0)
@@ -352,6 +352,10 @@ class TestCutProjection:
         one_point = [cut_points([x3], x8, zeta) for x3, x8 in zip(xi3, xi8)]
         assert all(len(out) == 1 for out in one_point)
         assert by_row == [out[0] for out in one_point]
+        # OQR exactly where the floor of the point's own p is classical, so
+        # that an edge moved by one float, on both paths alike, fails here
+        oqr = [_chart_floor(float.fromhex(point[4])) >= -CLASSICAL_TOL for point in by_row]
+        assert [point[0] == 0 for point in by_row] == oqr
         code = [c for c, _, _, _, _ in by_row]
         assert all(isinstance(c, int) for c in code)
         # each cluster straddles its threshold: OQR/QRST, AQT/QRST, BRS/QRST;

@@ -14,7 +14,10 @@ cases, generated by this file. A case records:
 - `qutrit-points`: every field of `qutrit_distance` and `classify_region`
   at one chart point, floats by `float.hex`, or the exception raised;
 - `cli-short`: the exit code, stdout and stderr of one `nc indicator`,
-  `kernel` or `polytope`.
+  `kernel` or `polytope`;
+- `general`: every field of `distance_general` on one seeded state at
+  n = 2..64, floats by `float.hex`, or the exception raised. The states
+  include sign-row states, which make the projector restart.
 
 It prints one JSON summary per family: the number of cases, the number
 that differ and the first few differing cases with both records. The exit
@@ -31,6 +34,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -212,9 +216,95 @@ def family_cli_short(quick: bool):
         yield argv, _run_cli(argv)
 
 
+def _dirichlet(rng: random.Random, n: int, alpha: float) -> list[float]:
+    """A Dirichlet(alpha) point of the probability simplex, unsorted."""
+    w = [rng.gammavariate(alpha, 1.0) for _ in range(n)]
+    total = math.fsum(w)
+    return [x / total for x in w]
+
+
+def _sign_row_states(rng: random.Random, n: int, kernel, count: int) -> list[list[float]]:
+    """Spectra whose last entry is -t, t in (0, 1e-12], with the floor in
+    (-4e-12, -1e-12): a Dirichlet state of that last entry mixed with the
+    flat or the pure state of it, whichever puts the floor in between.
+    The search's point then often ends in a negative entry, so the
+    projector holds it at 0 and restarts. The flat state is classical only
+    for a kernel whose largest value is at most 1, so the caller passes
+    such kernels."""
+    a = kernel.values[::-1]
+    states = []
+    for i in range(count):
+        t = 1e-12 * (1.0 - rng.random())
+        target = -1e-12 * (1.0 + 3.0 * rng.random())
+        tail = [t / (n - 1)] * (n - 1) + [-t]
+        head = sorted(_dirichlet(rng, n - 1, (1.0, 0.05)[i % 2]), reverse=True)
+        mix = [u + v for u, v in zip([*head, 0.0], tail)]
+        f_mix = math.fsum(map(operator.mul, mix, a))
+        if f_mix > target:
+            end = [1.0 + tail[0], *tail[1:]]
+        else:
+            end = [1.0 / (n - 1) + v for v in tail[:-1]] + [-t]
+        f_end = math.fsum(map(operator.mul, end, a))
+        s = (target - f_end) / (f_mix - f_end)
+        states.append([s * u + (1.0 - s) * v for u, v in zip(mix, end)])
+    return states
+
+
+def family_general(quick: bool):
+    """`distance_general` on seeded states at n = 2..64: Dirichlet alpha 1
+    and 0.05, tied, pure and flat spectra on random kernels (and the
+    degenerate qutrit kernels), plus sign-row states that make the
+    projector restart. Every result field by `float.hex`, or the
+    exception raised."""
+    from ncdist import Spectrum, distance_general, qutrit_kernel, random_kernel
+
+    rng = random.Random(2041)
+    dims = (2, 3, 5, 8, 32, 64) if quick else (2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
+    for n in dims:
+        seeds = [rng.getrandbits(30) for _ in range(4 if quick else 200)]
+        kernels = [(s, random_kernel(n, s)) for s in seeds]
+        if n == 3:
+            kernels[:2] = [("zeta=0", qutrit_kernel(0.0)), ("zeta=pi/3", qutrit_kernel(ZETA_MAX))]
+        cases = []
+        for k in kernels:
+            m = rng.randint(2, n)
+            counts = [rng.randint(0, 3) for _ in range(n)]
+            counts[0] += 1
+            cases += [(k, "dirichlet-1", _dirichlet(rng, n, 1.0)) for _ in range(4)]
+            cases += [(k, "dirichlet-0.05", _dirichlet(rng, n, 0.05)) for _ in range(4)]
+            cases.append((k, "tied", [c / sum(counts) for c in counts]))
+            cases.append((k, "pure", [1.0] + [0.0] * (n - 1)))
+            cases.append((k, "flat", [1.0 / m] * m + [0.0] * (n - m)))
+        edge = [("zeta=0", qutrit_kernel(0.0))] if n == 3 else []
+        # random kernels whose largest value is at most 1 are rare above n = 8
+        while 3 < n <= 8 and len(edge) < (1 if quick else 4):
+            seed = rng.getrandbits(30)
+            k = random_kernel(n, seed)
+            if k.values[0] <= 1.0:
+                edge.append((seed, k))
+        for label, k in edge:
+            states = _sign_row_states(rng, n, k, 4 if quick else 32)
+            cases += [((label, k), "sign-row", v) for v in states]
+        for (label, k), kind, values in cases:
+            try:
+                res = distance_general(Spectrum(tuple(values)), k)
+                record = [
+                    res.region and res.region.value,
+                    res.distance_paper.hex(),
+                    res.distance_frobenius.hex(),
+                    res.floor.hex(),
+                    res.classical,
+                    [v.hex() for v in res.nearest.values],
+                ]
+            # a raise is that state's output, to be compared like any other
+            except Exception as exc:
+                record = ["raises", type(exc).__name__, str(exc)]
+            yield [n, label, kind, [v.hex() for v in values]], record
+
+
 #: each family's cases, (key, record) pairs, in the order they run
 FAMILIES = {"scan": family_scan, "qutrit-points": family_qutrit_points,
-            "cli-short": family_cli_short}
+            "cli-short": family_cli_short, "general": family_general}
 
 
 def child(src: str, out: str, quick: bool) -> None:
