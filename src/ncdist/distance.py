@@ -3,9 +3,10 @@ projection onto the positivity polytope for general dimension (one-sided
 Newton steps on the concave, piecewise linear g(lam) = a . x(lam) of the
 multiplier of its one halfspace, floor >= 0, ending on the pooled blocks
 of the root; each step pools r + lam a from the blocks of the step before
-it, with block sums read off prefix sums, and g and its slope are read
-only after a step that merges blocks or a restart), and an exact rational
-active-set oracle."""
+it, with block sums read off prefix sums, g and its slope are read only
+after a step that merges blocks or a restart, and the start's blocks and
+slope come from one pass over r), and an exact rational active-set
+oracle."""
 
 from __future__ import annotations
 
@@ -220,18 +221,6 @@ def _read(
     return math.fsum(terms), slope
 
 
-def _slope(ends: list[int], pa: Sequence[float]) -> float:
-    """The slope of :func:`_read` alone, the same sum in the same order,
-    for the search's start, whose g is known."""
-    mean_t = pa[ends[-1]] / ends[-1]
-    slope = 0.0
-    start = 0
-    for end in ends:
-        slope += (end - start) * ((pa[end] - pa[start]) / (end - start) - mean_t) ** 2
-        start = end
-    return slope
-
-
 def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[float]:
     """Exact projection of an ordered r with floor = a . r < 0 onto the
     ordered simplex cut by the halfspace a . x >= 0.
@@ -249,9 +238,15 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     The search starts at lam = 0 without an evaluation, on the pooled
     blocks of r itself: its runs of equal entries, with r's own values.
     There theta shifts r to total one, which Spectrum admits only to within
-    1e-12, so g is the floor less theta times sum(a), and only the slope is
-    read. The search keeps a step that lands on fewer blocks with g < 0,
-    and stops when a step keeps its blocks, at g >= 0, or when the Newton
+    1e-12, so g is the floor less theta times sum(a). One pass over r finds
+    the runs and sums the slope, with the terms of :func:`_read` in its
+    order. r's values on the runs are taken only if the start itself ends
+    the search, at g(0) >= 0, which :func:`distance_general` never reaches:
+    its floor is below -1e-12, and sum(a) is 1 to within 1e-9, so
+    g(0) <= floor + (1e-12 / n)(1 + 1e-9) < 0.
+
+    The search keeps a step that lands on fewer blocks with g < 0, and
+    stops when a step keeps its blocks, at g >= 0, or when the Newton
     correction rounds to nothing. A step pools from the blocks before it
     and can only merge them, so a count of blocks tells the two apart, and
     g and its slope (:func:`_read`) are read only after a step that merges
@@ -279,9 +274,19 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     pr = [0.0, *accumulate(r)]
     pa = [0.0, *accumulate(a)]
     theta = (pr[n] - 1.0) / n
-    ends = [j for j in range(1, n) if r[j] != r[j - 1]] + [n]
-    values = [r[j - 1] for j in ends]
-    lam, g, slope = 0.0, floor - theta * pa[n], _slope(ends, pa)
+    mean_t = pa[n] / n
+    ends: list[int] = []
+    slope = 0.0
+    start = 0
+    for j in range(1, n):
+        if r[j] != r[j - 1]:
+            ends.append(j)
+            slope += (j - start) * ((pa[j] - pa[start]) / (j - start) - mean_t) ** 2
+            start = j
+    ends.append(n)
+    slope += (n - start) * ((pa[n] - pa[start]) / (n - start) - mean_t) ** 2
+    values: list[float] | None = None
+    lam, g = 0.0, floor - theta * pa[n]
     while True:
         if g < 0.0:
             step = lam - g / slope
@@ -291,6 +296,8 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
                 if len(ends) < count:
                     g, slope = _read(ends, values, theta, pa)
                     continue
+        if values is None:
+            values = [r[j - 1] for j in ends]
         if values[-1] - theta >= 0.0:
             return _x(ends, values, theta, n)
         lam = 0.0
@@ -301,11 +308,13 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
 def _x(ends: list[int], values: list[float], theta: float, n: int) -> list[float]:
     """The point x(lam) itself, each block's value - theta over its length,
     padded with zeros to n entries."""
-    x = _expand(
-        [value - theta for value in values],
-        map(operator.sub, ends, [0, *ends]),
-    )
-    return x + [0.0] * (n - len(x))
+    x: list[float] = []
+    start = 0
+    for end, value in zip(ends, values):
+        x += [value - theta] * (end - start)
+        start = end
+    x += [0.0] * (n - start)
+    return x
 
 
 def project_to_classical(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
@@ -328,23 +337,14 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
     AQT within 1e-12 of Q along the cut segment, BRS within 1e-12 of R.
     """
     floor = wigner_floor(r, kernel)
-    classical = floor_is_classical(floor)
-    if classical:
-        nearest = r
-        d_frob = 0.0
-    else:
-        nearest = Spectrum(_project_cut(r.values, kernel.values[::-1], floor))
-        d_frob = math.sqrt(math.fsum([(a - b) ** 2 for a, b in zip(r.values, nearest.values)]))
-    region = None
-    if r.n == 3:
-        region = Region.OQR if classical else _band_region(nearest.values, kernel.values[::-1])
-    return IndicatorResult(
-        distance_paper=d_frob * conversion_factor(r.n),
-        distance_frobenius=d_frob,
-        region=region,
-        nearest=nearest,
-        floor=floor,
-    )
+    n = len(r.values)
+    if floor_is_classical(floor):
+        return IndicatorResult(0.0, 0.0, Region.OQR if n == 3 else None, r, floor)
+    a = kernel.values[::-1]
+    nearest = Spectrum(_project_cut(r.values, a, floor))
+    d_frob = math.sqrt(math.fsum([(u - v) ** 2 for u, v in zip(r.values, nearest.values)]))
+    region = _band_region(nearest.values, a) if n == 3 else None
+    return IndicatorResult(d_frob * conversion_factor(n), d_frob, region, nearest, floor)
 
 
 def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:

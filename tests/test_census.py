@@ -1,6 +1,7 @@
 """The output census of tools/census.py, at its quick size: a tree matches
 itself in every family, and a one-ulp change in the closed form's
-distances, or in the projector's nearest points, is reported."""
+distances or in the projector's nearest points, and a reordered sum in the
+projector's start, are reported."""
 
 import json
 import shutil
@@ -13,11 +14,18 @@ CENSUS = ROOT / "tools" / "census.py"
 FAMILIES = ["scan", "qutrit-points", "cli-short", "general"]
 
 
-def mutated(tmp_path: Path, module: str, patch: str) -> Path:
-    """A copy of the source tree with `patch` appended to ncdist/`module`."""
+def mutated(tmp_path: Path, module: str, patch: str, before: str | None = None) -> Path:
+    """A copy of the source tree with `patch` appended to ncdist/`module`,
+    or inserted before the one line `before` there."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "ncdist" / module
-    path.write_text(path.read_text() + patch)
+    text = path.read_text()
+    if before is None:
+        text += patch
+    else:
+        assert text.count(before) == 1
+        text = text.replace(before, patch + before)
+    path.write_text(text)
     return tmp_path
 
 
@@ -81,3 +89,23 @@ def test_one_ulp_nearest_point_change_is_reported(tmp_path):
     assert scan["differ"] == 0 and points["differ"] == 0 and general["differ"] > 0
     example = general["examples"][0]
     assert example["base"][5] != example["head"][5]  # nearest
+
+
+def test_reordered_start_slope_is_reported(tmp_path):
+    """A base whose projector sums the start's slope in reverse block
+    order: the nearest points of some `general` states move by rounding,
+    while the closed form's scans and points and the short commands do
+    not change."""
+    base = mutated(
+        tmp_path,
+        "distance.py",
+        "    slope = 0.0\n"
+        + "    for start, end in reversed(list(zip([0, *ends], ends))):\n"
+        + "        slope += (end - start) * ((pa[end] - pa[start]) / (end - start) - mean_t) ** 2\n",
+        before="    values: list[float] | None = None\n",
+    )
+    code, summary = census(base)
+    assert code == 1
+    scan, points, short, general = summary
+    assert scan["differ"] == 0 and points["differ"] == 0 and short["differ"] == 0
+    assert general["differ"] > 0

@@ -31,7 +31,7 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.core import chamber_mask
-from ncdist.distance import _evaluate, _pool, _project_cut, _read, _slope, _x
+from ncdist.distance import _evaluate, _pool, _project_cut, _read, _x
 from ncdist.geometry import _TIE_TOL, REGIONS, _cut_point
 
 SQRT3 = math.sqrt(3.0)
@@ -499,18 +499,18 @@ class TestBlockEvaluation:
 
     def test_matches_expanded_evaluation(self, monkeypatch):
         """At seeded multipliers, at the full-pooling one and at those the
-        search visits; and the search's start at lam = 0, built as the
-        projector builds it on r's runs of equal entries: its blocks and
-        slope, and its g, the floor less the shift times sum(a), to 2**-51
-        of the exact g(0) of the shifted r (the floor's products are
-        rounded). Where the search runs, r nonclassical, the blocks are the
+        search visits; and the search's start at lam = 0, on r's runs of
+        equal entries: its blocks, its slope, bit for bit through the first
+        Newton step taken from it, and its g, the floor less the shift times
+        sum(a), to 2**-51 of the exact g(0) of the shifted r (the floor's
+        products are rounded). Where the search runs, r nonclassical, the blocks are the
         textbook loops' runs at every seeded and visited multiplier, and x
         agrees with theirs to 2 ulps of 1. At lam = 0 and at the
         full-pooling multiplier, which the search never evaluates on all n
         entries, the block sums can split a tie that running means keep."""
         calls = count_evaluations(monkeypatch)
         rng = np.random.default_rng(72)
-        checked = textbook = 0
+        checked = textbook = starts = 0
         for r, a in evaluation_cases():
             pa = prefix_sums(a)
             full = full_pooling(r, a)
@@ -520,12 +520,16 @@ class TestBlockEvaluation:
                 n = len(r)
                 theta = (prefix_sums(r)[n] - 1.0) / n
                 ends = [j for j in range(1, n) if r[j] != r[j - 1]] + [n]
-                g, piece, slope = expanded_point(list(r), list(r), a)
-                assert (bits((_slope(ends, pa),)), tuple(ends)) == (bits((slope,)), piece)
+                _, piece, slope = expanded_point(list(r), list(r), a)
+                assert tuple(ends) == piece
                 shift = (sum(map(Fraction, r)) - 1) / n
                 exact = sum((Fraction(v) - shift) * Fraction(w) for v, w in zip(r, a))
-                assert floor - theta * pa[n] == pytest.approx(float(exact), rel=0.0, abs=2**-51)
+                g = floor - theta * pa[n]
+                assert g == pytest.approx(float(exact), rel=0.0, abs=2**-51)
                 _project_cut(r, a, floor)
+                lam, first = calls[0]
+                assert first == ends and bits((lam,)) == bits((0.0 - g / slope,))
+                starts += 1
             seeded = [*(full * 1.5 * rng.random(10)), *(lam for lam, _ in calls if lam > 0.0)]
             for lam in (0.0, full, *seeded):
                 ends, values, theta, g_at, slope_at = cold(r, a, lam)
@@ -540,7 +544,7 @@ class TestBlockEvaluation:
                 assert tuple(ends) == piece
                 assert _x(ends, values, theta, len(r)) == pytest.approx(x, rel=0.0, abs=2**-51)
                 textbook += 1
-        assert checked >= 1500 and textbook >= 1200
+        assert checked >= 1500 and textbook >= 1200 and starts >= 100
 
     def test_adjacent_blocks_of_equal_mean_form_one_piece(self):
         r = (0.5, 0.4, 0.6, 0.2)
@@ -571,6 +575,43 @@ class TestBlockEvaluation:
         for lam, ends in calls:
             g, slope = _read(*_evaluate(pr, pa, lam, ends), pa)
             assert g >= 0.0 or slope > 0.0
+
+    def test_start_ends_the_search(self, monkeypatch):
+        """A floor in [theta sum(a), 0), which only a direct call reaches
+        (distance_general projects only floors below -1e-12), gives g(0) >= 0
+        at the start: the search ends there without an evaluation, on r's
+        own values shifted by theta, bit for bit the two-pass loop's point.
+        Here the floor is -8.3e-14 and g(0) is +8.3e-14."""
+        calls = count_evaluations(monkeypatch)
+        r = Spectrum((0.49999999999979167, 0.3, 0.1999999999997083)).values
+        a = qutrit_kernel(0.0).values[::-1]
+        floor = math.fsum(v * w for v, w in zip(r, a))
+        theta = (prefix_sums(r)[3] - 1.0) / 3
+        assert floor < 0.0 <= floor - theta * prefix_sums(a)[3]
+        x = _project_cut(r, a, floor)
+        assert calls == []
+        assert bits(x) == bits(two_pass_project_cut(r, a, floor))
+        assert bits(x) == bits(v - theta for v in r)
+
+    def test_start_ends_on_a_negative_last_entry(self, monkeypatch):
+        """The start's exit with a negative last entry: it restarts once,
+        at lam = 0 on the first n - 1 entries, where g >= 0 ends the search
+        again, at the exact projection. It needs an ordered r whose entries
+        but the last, shifted by theta, lie in the classical set, which the
+        qutrit kernels do not admit (at zeta = 0 it would need r2 > r1); the
+        kernel here has largest value 0.97."""
+        calls = count_evaluations(monkeypatch)
+        k = random_kernel(4, 0)
+        r = Spectrum((0.33795872493516826, 0.3310206375323158, 0.3310206375323158, -3e-13)).values
+        a = k.values[::-1]
+        floor = math.fsum(v * w for v, w in zip(r, a))
+        theta = (prefix_sums(r)[4] - 1.0) / 4
+        assert floor < 0.0 <= floor - theta * prefix_sums(a)[4] and r[-1] - theta < 0.0
+        x = _project_cut(r, a, floor)
+        assert calls == [(0.0, [1, 2, 3])]
+        assert bits(x) == bits(two_pass_project_cut(r, a, floor))
+        assert bits(x) == bits(bruteforce_project(Spectrum(r), k).values)
+        assert x[-1] == 0.0
 
     def test_raising_lam_only_merges_blocks(self):
         """The block ends of r + lam2 a are a subset of those of r + lam1 a
@@ -875,6 +916,24 @@ class TestDistanceGeneral:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             distance_general(Spectrum((0.7, 0.2, 0.1)), random_kernel(4, 0))
+
+    def test_classical_state_returns_itself(self):
+        """A classical state returns at once: both distances +0.0, the
+        state itself as nearest point, and the region OQR at n = 3 only;
+        for the maximally mixed state and for one whose floor lies in
+        [-1e-12, 0), a mix of it with the pure state."""
+        for n in range(2, 9):
+            k = random_kernel(n, 100 + n)
+            a1 = k.values[-1]
+            s = (1.0 / n + 0.5e-12) / (1.0 / n - a1)  # floor -0.5e-12
+            band = Spectrum(tuple(s * (i == 0) + (1.0 - s) / n for i in range(n)))
+            assert -1e-12 <= wigner_floor(band, k) < 0.0
+            for r in (Spectrum((1.0 / n,) * n), band):
+                res = distance_general(r, k)
+                assert bits((res.distance_paper, res.distance_frobenius)) == bits((0.0, 0.0))
+                assert res.nearest is r
+                assert res.region is (Region.OQR if n == 3 else None)
+                assert res.floor == wigner_floor(r, k) and res.classical
 
     def test_qutrit_band_example(self):
         res = distance_general(Spectrum((0.7, 0.2, 0.1)), qutrit_kernel(0.0))

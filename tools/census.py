@@ -250,13 +250,12 @@ def _sign_row_states(rng: random.Random, n: int, kernel, count: int) -> list[lis
     return states
 
 
-def family_general(quick: bool):
-    """`distance_general` on seeded states at n = 2..64: Dirichlet alpha 1
-    and 0.05, tied, pure and flat spectra on random kernels (and the
+def general_states(quick: bool):
+    """Seeded states at n = 2..64, as (key, kernel, values): Dirichlet
+    alpha 1 and 0.05, tied, pure and flat spectra on random kernels (and the
     degenerate qutrit kernels), plus sign-row states that make the
-    projector restart. Every result field by `float.hex`, or the
-    exception raised."""
-    from ncdist import Spectrum, distance_general, qutrit_kernel, random_kernel
+    projector restart."""
+    from ncdist import qutrit_kernel, random_kernel
 
     rng = random.Random(2041)
     dims = (2, 3, 5, 8, 32, 64) if quick else (2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64)
@@ -286,20 +285,33 @@ def family_general(quick: bool):
             states = _sign_row_states(rng, n, k, 4 if quick else 32)
             cases += [((label, k), "sign-row", v) for v in states]
         for (label, k), kind, values in cases:
-            try:
-                res = distance_general(Spectrum(tuple(values)), k)
-                record = [
-                    res.region and res.region.value,
-                    res.distance_paper.hex(),
-                    res.distance_frobenius.hex(),
-                    res.floor.hex(),
-                    res.classical,
-                    [v.hex() for v in res.nearest.values],
-                ]
-            # a raise is that state's output, to be compared like any other
-            except Exception as exc:
-                record = ["raises", type(exc).__name__, str(exc)]
-            yield [n, label, kind, [v.hex() for v in values]], record
+            yield [n, label, kind, [v.hex() for v in values]], k, values
+
+
+def general_record(res) -> list:
+    """Every field of a `distance_general` result, floats by `float.hex`."""
+    return [
+        res.region and res.region.value,
+        res.distance_paper.hex(),
+        res.distance_frobenius.hex(),
+        res.floor.hex(),
+        res.classical,
+        [v.hex() for v in res.nearest.values],
+    ]
+
+
+def family_general(quick: bool):
+    """`distance_general` on :func:`general_states`: every result field,
+    or the exception raised."""
+    from ncdist import Spectrum, distance_general
+
+    for key, k, values in general_states(quick):
+        try:
+            record = general_record(distance_general(Spectrum(tuple(values)), k))
+        # a raise is that state's output, to be compared like any other
+        except Exception as exc:
+            record = ["raises", type(exc).__name__, str(exc)]
+        yield key, record
 
 
 #: each family's cases, (key, record) pairs, in the order they run
