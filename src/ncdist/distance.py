@@ -239,10 +239,11 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     blocks of r itself: its runs of equal entries, with r's own values.
     There theta shifts r to total one, which Spectrum admits only to within
     1e-12, so g is the floor less theta times sum(a). One pass over r finds
-    the runs and sums the slope, with the terms of :func:`_read` in its
-    order. r's values on the runs are taken only if the start itself ends
-    the search, at g(0) >= 0, which :func:`distance_general` never reaches:
-    its floor is below -1e-12, and sum(a) is 1 to within 1e-9, so
+    the runs and sums the slope with :func:`_read`'s terms in its order
+    (the last run's term follows the loop: testing j == n on every entry
+    costs 1 %). r's values on the runs are taken only if the start ends the
+    search, at g(0) >= 0, which :func:`distance_general` never reaches: its
+    floor is below -1e-12 and sum(a) is 1 to within 1e-9, so
     g(0) <= floor + (1e-12 / n)(1 + 1e-9) < 0.
 
     The search keeps a step that lands on fewer blocks with g < 0, and
@@ -276,8 +277,7 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     theta = (pr[n] - 1.0) / n
     mean_t = pa[n] / n
     ends: list[int] = []
-    slope = 0.0
-    start = 0
+    slope, start = 0.0, 0
     for j in range(1, n):
         if r[j] != r[j - 1]:
             ends.append(j)

@@ -1,6 +1,6 @@
-"""The side-by-side timer of tools/abtime.py, at the census's quick size
-and one pass: a tree matches itself and is timed, and a tree whose
-projector moves a nearest point by one float is refused before timing."""
+"""The side-by-side timer of tools/abtime.py, at the census's quick size:
+a tree matches itself and is timed, and a tree whose projector moves a
+nearest point by one float is refused before timing."""
 
 import subprocess
 import sys
@@ -12,7 +12,7 @@ ABTIME = ROOT / "tools" / "abtime.py"
 
 def abtime(base) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(ABTIME), "--base", str(base), "--quick", "--passes", "1"],
+        [sys.executable, str(ABTIME), "--base", str(base), "--quick"],
         capture_output=True, text=True, timeout=120, check=False,
     )
 

@@ -500,8 +500,10 @@ class TestBlockEvaluation:
     def test_matches_expanded_evaluation(self, monkeypatch):
         """At seeded multipliers, at the full-pooling one and at those the
         search visits; and the search's start at lam = 0, on r's runs of
-        equal entries: its blocks, its slope, bit for bit through the first
-        Newton step taken from it, and its g, the floor less the shift times
+        equal entries: its blocks; its slope, which the search keeps to
+        itself, only through the first Newton step, lam = 0 - g / slope, by
+        bits (a slope one ulp off moves that lam on most starts, and on at
+        least half of them here); and its g, the floor less the shift times
         sum(a), to 2**-51 of the exact g(0) of the shifted r (the floor's
         products are rounded). Where the search runs, r nonclassical, the blocks are the
         textbook loops' runs at every seeded and visited multiplier, and x
@@ -510,7 +512,7 @@ class TestBlockEvaluation:
         entries, the block sums can split a tie that running means keep."""
         calls = count_evaluations(monkeypatch)
         rng = np.random.default_rng(72)
-        checked = textbook = starts = 0
+        checked = textbook = starts = pinned = 0
         for r, a in evaluation_cases():
             pa = prefix_sums(a)
             full = full_pooling(r, a)
@@ -530,6 +532,9 @@ class TestBlockEvaluation:
                 lam, first = calls[0]
                 assert first == ends and bits((lam,)) == bits((0.0 - g / slope,))
                 starts += 1
+                pinned += all(
+                    0.0 - g / math.nextafter(slope, to) != lam for to in (0.0, math.inf)
+                )
             seeded = [*(full * 1.5 * rng.random(10)), *(lam for lam, _ in calls if lam > 0.0)]
             for lam in (0.0, full, *seeded):
                 ends, values, theta, g_at, slope_at = cold(r, a, lam)
@@ -545,6 +550,7 @@ class TestBlockEvaluation:
                 assert _x(ends, values, theta, len(r)) == pytest.approx(x, rel=0.0, abs=2**-51)
                 textbook += 1
         assert checked >= 1500 and textbook >= 1200 and starts >= 100
+        assert 2 * pinned >= starts
 
     def test_adjacent_blocks_of_equal_mean_form_one_piece(self):
         r = (0.5, 0.4, 0.6, 0.2)

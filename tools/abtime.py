@@ -1,7 +1,7 @@
 """Side-by-side timer: time `distance_general` of two source trees on the
 census `general` states, in one process.
 
-    python3 tools/abtime.py --base REV_OR_DIR [--quick] [--passes P]
+    python3 tools/abtime.py --base REV_OR_DIR [--quick]
 
 The base is a git revision or a source directory, taken as
 `tools/census.py` takes it. The head is the tree this file lives in. Both
@@ -12,10 +12,11 @@ It first asserts that every field of `distance_general` is bit-identical
 between the trees on every state (floats by `float.hex`), and exits with
 status 1, printing the first differing states, when one is not. It then
 times each call on its own, in chunks of consecutive states that alternate
-which tree runs first, for P passes over all states. It prints the ratio of
-the head's summed time to the base's, overall and its range over passes,
-and the p50 and p99 per-call time of each tree at each n. Run it under
-`taskset -c CPU` to pin it to one CPU. Only the stdlib and numpy are used.
+which tree runs first, for PASSES passes over all states. It prints the
+ratio of the head's summed time to the base's, overall and its range over
+passes, and the p50 and p99 per-call time of each tree at each n. Run it
+under `taskset -c CPU` to pin it to one CPU. Only the stdlib and numpy are
+used.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import census
 
 #: consecutive states timed per tree before the other tree runs
 CHUNK = 64
+#: passes over all states
+PASSES = 5
 #: differing states shown
 EXAMPLES = 3
 
@@ -71,17 +74,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision or source directory")
     parser.add_argument("--quick", action="store_true", help="the census's quick states")
-    parser.add_argument("--passes", type=int, default=5, help="passes over all states")
     args = parser.parse_args()
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         base = load(census._source(args.base, Path(tmp)))
         head = load(census.ROOT / "src")
-        return run(base, head, args.quick, args.passes)
+        return run(base, head, args.quick)
 
 
-def run(base, head, quick: bool, passes: int) -> int:
+def run(base, head, quick: bool) -> int:
     """Check, then time, the two trees' `ncdist` packages."""
     states, differ = [], []
     for key, kernel, values in census.general_states(quick):
@@ -100,9 +100,9 @@ def run(base, head, quick: bool, passes: int) -> int:
 
     sides = {"base": base.distance_general, "head": head.distance_general}
     times = {side: defaultdict(list) for side in sides}
-    totals = {side: [0.0] * passes for side in sides}
+    totals = {side: [0.0] * PASSES for side in sides}
     clock = time.perf_counter
-    for p in range(passes):
+    for p in range(PASSES):
         for c, lo in enumerate(range(0, len(states), CHUNK)):
             chunk = states[lo:lo + CHUNK]
             order = ("base", "head") if (p + c) % 2 == 0 else ("head", "base")
