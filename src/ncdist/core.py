@@ -21,22 +21,28 @@ CHAMBER_TOL = 1e-12
 
 
 class Frozen:
-    """Base of the immutable value types: fields are the `__slots__` of the
-    subclass, set once by its `__init__` through `object.__setattr__`.
+    """Base of the immutable value types: fields are the `_fields` of the
+    subclass, its `__slots__` unless it names them apart, set once by its
+    `__init__` through `object.__setattr__`. A slot outside `_fields` is
+    private: set later, also through `object.__setattr__`, and read only
+    by the package.
 
     Instances compare and hash by their field values, within one class
     only, and print as `Name(field=value, ...)`. Assigning or deleting a
     field raises AttributeError. Pickling and copying rebuild an instance
-    through its constructor, since the blocked `__setattr__` rules out the
-    default restore of slot state.
+    through its constructor from its fields, since the blocked
+    `__setattr__` rules out the default restore of slot state; a private
+    slot starts unset again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
         # the field, or the tuple of fields, in one C call; a Python loop
         # over the fields makes == several times slower
-        cls._key = property(attrgetter(*cls.__slots__))
+        cls._key = property(attrgetter(*cls._fields))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -53,11 +59,11 @@ class Frozen:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({args})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 class Spectrum(Frozen):

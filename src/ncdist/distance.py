@@ -4,15 +4,17 @@ Newton steps on the concave, piecewise linear g(lam) = a . x(lam) of the
 multiplier of its one halfspace, floor >= 0, ending on the pooled blocks
 of the root; each step pools r + lam a from the blocks of the step before
 it, with block sums read off prefix sums, g and its slope are read only
-after a step that merges blocks or a restart, and the start's blocks and
-slope come from one pass over r), and an exact rational active-set
+after a step that merges blocks or a restart, the start's blocks are the
+runs of r, and what depends on the kernel alone, its prefix sums, the
+start's slope for an r without ties and the convention factor, is built
+once per kernel and kept on it), and an exact rational active-set
 oracle."""
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Sequence
 
 from .core import (
@@ -221,9 +223,36 @@ def _read(
     return math.fsum(terms), slope
 
 
-def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[float]:
+class _KernelData:
+    """What the projector of :func:`distance_general` derives from the
+    kernel alone, built on the kernel's first projection and kept in its
+    private slot `_projector_data`: `a`, the kernel in ascending order, the
+    halfspace normal; `pa`, 0 and the running sums of a; `slope`, g's slope
+    at the start of the search for an r without tied entries; and
+    `factor`, d_paper / d_frobenius.
+
+    Such an r starts on n single-entry blocks, so that slope is
+    :func:`_read`'s over the ends 1..n, a function of a alone; the block
+    values passed to it (a itself) enter only g, which is not kept. A
+    plain class: a NamedTuple would cost every `nc` command 0.08 ms of
+    import.
+    """
+
+    __slots__ = ("a", "pa", "slope", "factor")
+
+    def __init__(self, kernel: KernelSpectrum):
+        a = kernel.values[::-1]
+        n = len(a)
+        self.a = a
+        self.pa = pa = (0.0, *accumulate(a))
+        self.slope = _read(range(1, n + 1), a, 0.0, pa)[1]
+        self.factor = conversion_factor(n)
+
+
+def _project_cut(r: Sequence[float], data: _KernelData, floor: float) -> list[float]:
     """Exact projection of an ordered r with floor = a . r < 0 onto the
-    ordered simplex cut by the halfspace a . x >= 0.
+    ordered simplex cut by the halfspace a . x >= 0, with a's prefix sums
+    from `data`, the kernel's record.
 
     Leave out the sign row x_n >= 0 at first. By the KKT conditions the
     answer is then x(lam) = project_monotone_nonincreasing(r + lam a) -
@@ -238,10 +267,11 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
     The search starts at lam = 0 without an evaluation, on the pooled
     blocks of r itself: its runs of equal entries, with r's own values.
     There theta shifts r to total one, which Spectrum admits only to within
-    1e-12, so g is the floor less theta times sum(a). One pass over r finds
-    the runs and sums the slope with :func:`_read`'s terms in its order
-    (the last run's term follows the loop: testing j == n on every entry
-    costs 1 %). r's values on the runs are taken only if the start ends the
+    1e-12, so g is the floor less theta times sum(a). The slope is
+    :func:`_read`'s over the runs, its one formula and order: when every
+    run is a single entry, it depends on the kernel alone and is the
+    record's; otherwise :func:`_read` reads it off the runs. r's values on
+    the runs are taken for that read, or else only if the start ends the
     search, at g(0) >= 0, which :func:`distance_general` never reaches: its
     floor is below -1e-12 and sum(a) is 1 to within 1e-9, so
     g(0) <= floor + (1e-12 / n)(1 + 1e-9) < 0.
@@ -267,25 +297,21 @@ def _project_cut(r: Sequence[float], a: Sequence[float], floor: float) -> list[f
 
     Each kept step has strictly fewer blocks than the one before, so
     there are at most n evaluations per support and at most n - 1
-    restarts. A block's value is read off the prefix sums of r and a,
+    restarts. A block's value is read off the prefix sums of r and a, r's
     taken once per call, each step pools from the blocks of the step
     before it, and x is expanded once, at the end.
     """
     n = len(r)
     pr = [0.0, *accumulate(r)]
-    pa = [0.0, *accumulate(a)]
+    pa = data.pa
     theta = (pr[n] - 1.0) / n
-    mean_t = pa[n] / n
-    ends: list[int] = []
-    slope, start = 0.0, 0
-    for j in range(1, n):
-        if r[j] != r[j - 1]:
-            ends.append(j)
-            slope += (j - start) * ((pa[j] - pa[start]) / (j - start) - mean_t) ** 2
-            start = j
-    ends.append(n)
-    slope += (n - start) * ((pa[n] - pa[start]) / (n - start) - mean_t) ** 2
+    ends = [*compress(range(1, n), map(operator.ne, r[1:], r)), n]
     values: list[float] | None = None
+    if len(ends) == n:
+        slope = data.slope
+    else:
+        values = [r[j - 1] for j in ends]
+        slope = _read(ends, values, theta, pa)[1]
     lam, g = 0.0, floor - theta * pa[n]
     while True:
         if g < 0.0:
@@ -335,16 +361,25 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
     polytope. For n = 3 only a classical state is OQR; a nonclassical one
     takes the region of its nearest point under the closed form's tie rule:
     AQT within 1e-12 of Q along the cut segment, BRS within 1e-12 of R.
+
+    The kernel's record for the projector (:class:`_KernelData`) is built
+    on its first projection and kept on the kernel, so the many states of
+    one kernel share it.
     """
     floor = wigner_floor(r, kernel)
     n = len(r.values)
     if floor_is_classical(floor):
         return IndicatorResult(0.0, 0.0, Region.OQR if n == 3 else None, r, floor)
-    a = kernel.values[::-1]
-    nearest = Spectrum(_project_cut(r.values, a, floor))
-    d_frob = math.sqrt(math.fsum([(u - v) ** 2 for u, v in zip(r.values, nearest.values)]))
-    region = _band_region(nearest.values, a) if n == 3 else None
-    return IndicatorResult(d_frob * conversion_factor(n), d_frob, region, nearest, floor)
+    try:
+        data = kernel._projector_data
+    except AttributeError:
+        data = _KernelData(kernel)
+        object.__setattr__(kernel, "_projector_data", data)
+    nearest = Spectrum(_project_cut(r.values, data, floor))
+    # pow(d, 2), not d * d: the two can round apart, which would move census outputs
+    d_frob = math.sqrt(math.fsum(map(pow, map(operator.sub, r.values, nearest.values), repeat(2))))
+    region = _band_region(nearest.values, data.a) if n == 3 else None
+    return IndicatorResult(d_frob * data.factor, d_frob, region, nearest, floor)
 
 
 def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:

@@ -24,9 +24,15 @@ class KernelSpectrum(Frozen):
     A valid kernel spectrum is finite and satisfies sum(pi) = 1 and
     sum(pi^2) = n; both residuals are checked on construction and reported
     together on failure, as NaN for non-finite values.
+
+    The private slot `_projector_data` holds what the general projector of
+    :mod:`ncdist.distance` derives from the kernel alone, set on its first
+    use and kept for the kernel's life. It is not a field: equality, hash,
+    repr, pickling and copies ignore it.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_projector_data")
+    _fields = ("values",)
     values: tuple[float, ...]
 
     def __init__(self, values: tuple[float, ...]):

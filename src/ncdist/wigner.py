@@ -105,7 +105,7 @@ def wigner_floor(r: Spectrum, kernel: KernelSpectrum) -> float:
     0.17214511922796888) at zeta 0.6545984418925018 reads -1.0000750e-12,
     where the exact pairing of those floats is -1.0000777e-12.
     """
-    if r.n != kernel.n:
+    if len(r.values) != len(kernel.values):
         raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
     return math.fsum(map(operator.mul, r.values, reversed(kernel.values)))
 

@@ -31,8 +31,8 @@ def test_differing_tree_is_refused(tmp_path):
         tmp_path,
         "distance.py",
         "\n\n_exact = _project_cut\n\n\n"
-        + "def _project_cut(r, a, floor):\n"
-        + "    x = _exact(r, a, floor)\n"
+        + "def _project_cut(r, data, floor):\n"
+        + "    x = _exact(r, data, floor)\n"
         + "    return [math.nextafter(x[0], 2.0), *x[1:]]\n",
     )
     out = abtime(base)

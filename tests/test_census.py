@@ -1,7 +1,7 @@
 """The output census of tools/census.py, at its quick size: a tree matches
 itself in every family, and a one-ulp change in the closed form's
-distances or in the projector's nearest points, and a reordered sum in the
-projector's start, are reported."""
+distances or in the projector's nearest points, and a reordered sum of the
+projector's slope, are reported."""
 
 import json
 import shutil
@@ -79,8 +79,8 @@ def test_one_ulp_nearest_point_change_is_reported(tmp_path):
         tmp_path,
         "distance.py",
         "\n\n_exact = _project_cut\n\n\n"
-        + "def _project_cut(r, a, floor):\n"
-        + "    x = _exact(r, a, floor)\n"
+        + "def _project_cut(r, data, floor):\n"
+        + "    x = _exact(r, data, floor)\n"
         + "    return [math.nextafter(x[0], 2.0), *x[1:]]\n",
     )
     code, summary = census(base)
@@ -92,8 +92,10 @@ def test_one_ulp_nearest_point_change_is_reported(tmp_path):
 
 
 def test_reordered_start_slope_is_reported(tmp_path):
-    """A base whose projector sums the start's slope in reverse block
-    order: the nearest points of some `general` states move by rounding,
+    """A base whose projector sums g's slope in reverse block order, in
+    `_read`, the one statement of it: at the start, where the kernel's
+    record takes it over single entries, and after each step that merges
+    blocks. The nearest points of some `general` states move by rounding,
     while the closed form's scans and points and the short commands do
     not change."""
     base = mutated(
@@ -102,7 +104,7 @@ def test_reordered_start_slope_is_reported(tmp_path):
         "    slope = 0.0\n"
         + "    for start, end in reversed(list(zip([0, *ends], ends))):\n"
         + "        slope += (end - start) * ((pa[end] - pa[start]) / (end - start) - mean_t) ** 2\n",
-        before="    values: list[float] | None = None\n",
+        before="    return math.fsum(terms), slope\n",
     )
     code, summary = census(base)
     assert code == 1

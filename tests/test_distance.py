@@ -1,7 +1,11 @@
+import copy
+import importlib.util
 import math
 import operator
+import pickle
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,11 +35,15 @@ from ncdist import (
     wigner_floor,
 )
 from ncdist.core import chamber_mask
-from ncdist.distance import _evaluate, _pool, _project_cut, _read, _x
+from ncdist.distance import _evaluate, _KernelData, _pool, _project_cut, _read, _x
 from ncdist.geometry import _TIE_TOL, REGIONS, _cut_point
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
+_spec = importlib.util.spec_from_file_location(
+    "census", Path(__file__).resolve().parents[1] / "tools" / "census.py")
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
 #: steps of the multiplier search: the worst measured on the inputs of
 #: test_step_cap_up_to_n_64, and 6 over thirty other seeds of the same mix;
 #: _project_cut proves at most n per support
@@ -93,6 +101,12 @@ def expanded_simplex(values):
         else:
             break
     return [max(float(v) - theta, 0.0) for v in values]
+
+
+def kernel_data(a):
+    """The projector's record of the kernel whose values in ascending order
+    are a, built as distance_general builds it."""
+    return _KernelData(KernelSpectrum(a))
 
 
 def prefix_sums(values) -> list[float]:
@@ -464,7 +478,7 @@ class TestProjectToClassical:
             checked += 1
             r = spectrum_from_chart(c)
             k = qutrit_kernel(z)
-            x = _project_cut(r.values, k.values[::-1], wigner_floor(r, k))
+            x = _project_cut(r.values, _KernelData(k), wigner_floor(r, k))
             assert x == pytest.approx(closed.nearest.values, abs=1e-12)
 
 
@@ -501,9 +515,11 @@ class TestBlockEvaluation:
         """At seeded multipliers, at the full-pooling one and at those the
         search visits; and the search's start at lam = 0, on r's runs of
         equal entries: its blocks; its slope, which the search keeps to
-        itself, only through the first Newton step, lam = 0 - g / slope, by
-        bits (a slope one ulp off moves that lam on most starts, and on at
-        least half of them here); and its g, the floor less the shift times
+        itself, through the first Newton step, lam = 0 - g / slope, by bits
+        (a slope one ulp off moves that lam on most starts, and on at least
+        half of them here), on starts with and without tied entries, and
+        for an r without ties, whose slope is the kernel record's, that
+        slope itself by bits; and its g, the floor less the shift times
         sum(a), to 2**-51 of the exact g(0) of the shifted r (the floor's
         products are rounded). Where the search runs, r nonclassical, the blocks are the
         textbook loops' runs at every seeded and visited multiplier, and x
@@ -512,7 +528,7 @@ class TestBlockEvaluation:
         entries, the block sums can split a tie that running means keep."""
         calls = count_evaluations(monkeypatch)
         rng = np.random.default_rng(72)
-        checked = textbook = starts = pinned = 0
+        checked = textbook = starts = pinned = tied = 0
         for r, a in evaluation_cases():
             pa = prefix_sums(a)
             full = full_pooling(r, a)
@@ -528,10 +544,14 @@ class TestBlockEvaluation:
                 exact = sum((Fraction(v) - shift) * Fraction(w) for v, w in zip(r, a))
                 g = floor - theta * pa[n]
                 assert g == pytest.approx(float(exact), rel=0.0, abs=2**-51)
-                _project_cut(r, a, floor)
+                data = kernel_data(a)
+                if len(ends) == n:
+                    assert bits((data.slope,)) == bits((slope,))
+                _project_cut(r, data, floor)
                 lam, first = calls[0]
                 assert first == ends and bits((lam,)) == bits((0.0 - g / slope,))
                 starts += 1
+                tied += len(ends) < n
                 pinned += all(
                     0.0 - g / math.nextafter(slope, to) != lam for to in (0.0, math.inf)
                 )
@@ -550,6 +570,7 @@ class TestBlockEvaluation:
                 assert _x(ends, values, theta, len(r)) == pytest.approx(x, rel=0.0, abs=2**-51)
                 textbook += 1
         assert checked >= 1500 and textbook >= 1200 and starts >= 100
+        assert 50 <= tied <= starts - 50
         assert 2 * pinned >= starts
 
     def test_adjacent_blocks_of_equal_mean_form_one_piece(self):
@@ -572,7 +593,7 @@ class TestBlockEvaluation:
         calls = count_evaluations(monkeypatch)
         r = Spectrum((0.5 + 2e-12, 0.5 - 1e-12, -1e-12)).values
         a = qutrit_kernel(0.0).values[::-1]
-        x = _project_cut(r, a, math.fsum(v * w for v, w in zip(r, a)))
+        x = _project_cut(r, kernel_data(a), math.fsum(v * w for v, w in zip(r, a)))
         assert bits(x) == bits((0.5, 0.5, 0.0))
         assert [ends for lam, ends in calls if lam == 0.0] == [[1, 2]]
         pr, pa = prefix_sums(r), prefix_sums(a)
@@ -594,7 +615,7 @@ class TestBlockEvaluation:
         floor = math.fsum(v * w for v, w in zip(r, a))
         theta = (prefix_sums(r)[3] - 1.0) / 3
         assert floor < 0.0 <= floor - theta * prefix_sums(a)[3]
-        x = _project_cut(r, a, floor)
+        x = _project_cut(r, kernel_data(a), floor)
         assert calls == []
         assert bits(x) == bits(two_pass_project_cut(r, a, floor))
         assert bits(x) == bits(v - theta for v in r)
@@ -613,7 +634,7 @@ class TestBlockEvaluation:
         floor = math.fsum(v * w for v, w in zip(r, a))
         theta = (prefix_sums(r)[4] - 1.0) / 4
         assert floor < 0.0 <= floor - theta * prefix_sums(a)[4] and r[-1] - theta < 0.0
-        x = _project_cut(r, a, floor)
+        x = _project_cut(r, _KernelData(k), floor)
         assert calls == [(0.0, [1, 2, 3])]
         assert bits(x) == bits(two_pass_project_cut(r, a, floor))
         assert bits(x) == bits(bruteforce_project(Spectrum(r), k).values)
@@ -651,7 +672,7 @@ class TestBlockEvaluation:
             if floor >= 0.0:
                 continue
             calls.clear()
-            _project_cut(r, a, floor)
+            _project_cut(r, kernel_data(a), floor)
             pr, pa = prefix_sums(r), prefix_sums(a)
             for lam, ends in calls:
                 warm = _evaluate(pr, pa, lam, ends)
@@ -678,7 +699,8 @@ class TestBlockEvaluation:
             if floor >= 0.0:
                 continue
             calls.clear()
-            assert bits(_project_cut(r, a, floor)) == bits(two_pass_project_cut(r, a, floor))
+            x = _project_cut(r, kernel_data(a), floor)
+            assert bits(x) == bits(two_pass_project_cut(r, a, floor))
             checked += 1
             restarted += any(lam == 0.0 for lam, _ in calls)
         assert checked >= 450 and restarted >= 100
@@ -686,8 +708,10 @@ class TestBlockEvaluation:
     def test_kept_blocks_are_not_read(self, monkeypatch):
         """g and its slope are read once after each evaluation that merges
         blocks and after each restart, and never after an evaluation that
-        keeps its blocks, which ends the search; on the evaluation cases
-        at two seeds and on the sign-row states."""
+        keeps its blocks, which ends the search; at the start they are read
+        once, before any evaluation, when r has tied entries, and never
+        when it has none, whose slope is the kernel record's; on the
+        evaluation cases at two seeds and on the sign-row states."""
         events = []
 
         def evaluate(pr, pa, lam, ends):
@@ -703,18 +727,22 @@ class TestBlockEvaluation:
 
         monkeypatch.setattr("ncdist.distance._evaluate", evaluate)
         monkeypatch.setattr("ncdist.distance._read", read)
-        kept = 0
+        kept = tied = 0
         states = [(r.values, k.values[::-1]) for r, k in sign_row_states(np.random.default_rng(82))]
         for r, a in (*evaluation_cases(), *evaluation_cases(76), *states):
             floor = math.fsum(v * w for v, w in zip(r, a))
             if floor >= 0.0:
                 continue
+            data = kernel_data(a)
+            ties = any(map(operator.eq, r, r[1:]))
             events.clear()
-            _project_cut(r, a, floor)
-            assert events.count("read") == events.count("merge") and events[-1] != "merge"
+            _project_cut(r, data, floor)
+            assert (events[:1] == ["read"]) == ties
+            assert events.count("read") == events.count("merge") + ties and events[-1] != "merge"
             assert all(b == "read" for a, b in zip(events, events[1:]) if a == "merge")
             kept += events.count("keep")
-        assert kept >= 550
+            tied += ties
+        assert kept >= 550 and tied >= 100
 
     def test_public_projections_match_expanded_loops(self):
         """project_monotone_nonincreasing and project_simplex expand the
@@ -1110,3 +1138,55 @@ class TestDistanceGeneral:
             assert general.region is qutrit_distance(chart_from_spectrum(r), z).region
             seen.add(general.region)
         assert seen == {Region.AQT, Region.QRST, Region.BRS}
+
+
+class TestKernelRecord:
+    """distance_general keeps the projector's record of a kernel
+    (_KernelData) in the kernel's private slot, built on its first
+    projection: the kernel's value semantics do not see it, and results do
+    not depend on whether it was already there."""
+
+    def test_kernel_with_a_record_acts_as_a_fresh_one(self):
+        def fields(data):
+            return data.a, data.pa, bits((data.slope, data.factor))
+
+        k, fresh = random_kernel(8, 5), random_kernel(8, 5)
+        assert not distance_general(Spectrum((1.0,) + (0.0,) * 7), k).classical
+        assert fields(k._projector_data) == fields(_KernelData(fresh))
+        with pytest.raises(AttributeError):
+            fresh._projector_data
+        assert k == fresh and hash(k) == hash(fresh) and repr(k) == repr(fresh)
+        assert pickle.dumps(k) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(k)), copy.copy(k), copy.deepcopy(k)):
+            assert type(twin) is KernelSpectrum and twin is not k and twin == k
+            with pytest.raises(AttributeError):
+                twin._projector_data
+        for name in ("values", "_projector_data"):
+            with pytest.raises(AttributeError):
+                setattr(k, name, None)
+            with pytest.raises(AttributeError):
+                delattr(k, name)
+        assert k.values == fresh.values and fields(k._projector_data) == fields(_KernelData(fresh))
+
+    def test_cold_and_warm_calls_agree(self):
+        """Every field, floats by float.hex, of a first call on a fresh
+        kernel, which builds the record, equals that of a second call on
+        the same kernel and of a call on a kernel that earlier states
+        warmed: on the census's quick `general` states, which share one
+        kernel object among the states of each kernel, and on every
+        evaluation case with tied entries, whose start reads its slope off
+        r's runs rather than the record."""
+        cases = [(values, k) for _, k, values in census.general_states(True)]
+        for r, a in evaluation_cases():
+            if any(map(operator.eq, r, r[1:])):
+                cases.append((r, KernelSpectrum(a)))
+        projected = tied = 0
+        for values, k in cases:
+            r = Spectrum(tuple(values))
+            fresh = KernelSpectrum(k.values)
+            cold = census.general_record(distance_general(r, fresh))
+            assert census.general_record(distance_general(r, fresh)) == cold
+            assert census.general_record(distance_general(r, k)) == cold
+            projected += not cold[4]
+            tied += not cold[4] and any(map(operator.eq, r.values, r.values[1:]))
+        assert projected >= 250 and tied >= 100

@@ -25,7 +25,7 @@ from ncdist import (
     spectrum_from_matrix,
     wigner_floor,
 )
-from ncdist.distance import _project_cut
+from ncdist.distance import _KernelData, _project_cut
 from ncdist.geometry import _TIE_TOL, _cut_frame, _cut_projection
 from ncdist.wigner import CLASSICAL_TOL
 
@@ -88,7 +88,7 @@ def test_nearest_is_ordered_and_classical(case):
     res = distance_general(r, k)
     assert is_classical(res.nearest, k)
     if not res.classical:
-        x = _project_cut(r.values, k.values[::-1], wigner_floor(r, k))
+        x = _project_cut(r.values, _KernelData(k), wigner_floor(r, k))
         assert all(u >= v for u, v in zip(x, x[1:])) and x[-1] >= 0.0
         assert res.nearest.values == tuple(x)
 

@@ -17,7 +17,10 @@ cases, generated by this file. A case records:
   `kernel` or `polytope`;
 - `general`: every field of `distance_general` on one seeded state at
   n = 2..64, floats by `float.hex`, or the exception raised. The states
-  include sign-row states, which make the projector restart.
+  include sign-row states, which make the projector restart. One kernel
+  object serves all the states of that kernel, so the first projected
+  state of each kernel builds the projector's record of the kernel (the
+  cold path) and the later ones reuse it (the warm path).
 
 It prints one JSON summary per family: the number of cases, the number
 that differ and the first few differing cases with both records. The exit
