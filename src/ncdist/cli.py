@@ -39,10 +39,6 @@ def _fmt(x: float) -> str:
     return format(float(x) + 0.0, ".12g")
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
-
-
 def _zeta_value(args) -> float | None:
     if args.zeta is not None and args.zeta_degrees is not None:
         raise ValueError("give either --zeta or --zeta-degrees, not both")
@@ -140,13 +136,11 @@ def _load_state(path: str) -> tuple[Spectrum, Any]:
 def _cmd_kernel(args) -> int:
     kernel = _kernel_from_args(args, args.n)
     res_trace, res_square = kernel.residuals()
-    _emit(
-        {
-            "pi": list(kernel.values),
-            "residual_trace": res_trace,
-            "residual_square": res_square,
-        }
-    )
+    print(json.dumps({
+        "pi": list(kernel.values),
+        "residual_trace": res_trace,
+        "residual_square": res_square,
+    }))
     return 0
 
 
@@ -154,16 +148,14 @@ def _cmd_indicator(args) -> int:
     spectrum, _ = _load_state(args.state)
     kernel = _kernel_from_args(args, spectrum.n)
     result = distance_general(spectrum, kernel)
-    _emit(
-        {
-            "w": result.floor,
-            "classical": result.classical,
-            "distance_paper": result.distance_paper,
-            "distance_frobenius": result.distance_frobenius,
-            "region": result.region.value if result.region is not None else None,
-            "nearest_spectrum": list(result.nearest.values),
-        }
-    )
+    print(json.dumps({
+        "w": result.floor,
+        "classical": result.classical,
+        "distance_paper": result.distance_paper,
+        "distance_frobenius": result.distance_frobenius,
+        "region": result.region.value if result.region is not None else None,
+        "nearest_spectrum": list(result.nearest.values),
+    }))
     return 0
 
 
@@ -211,7 +203,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_polytope(args) -> int:
     kernel = _kernel_from_args(args, args.n)
-    _emit(positivity_polytope(kernel).to_json_dict())
+    print(json.dumps(positivity_polytope(kernel).to_json_dict()))
     return 0
 
 
@@ -225,13 +217,11 @@ def _cmd_sample_min(args) -> int:
     seed = args.seed if args.seed is not None else 0
     w_analytic = wigner_floor(spectrum, kernel)
     w_sampled = sampled_min(rho, kernel, args.samples, seed)
-    _emit(
-        {
-            "w_analytic": w_analytic,
-            "w_sampled": w_sampled,
-            "gap": max(0.0, w_sampled - w_analytic),
-        }
-    )
+    print(json.dumps({
+        "w_analytic": w_analytic,
+        "w_sampled": w_sampled,
+        "gap": max(0.0, w_sampled - w_analytic),
+    }))
     return 0
 
 

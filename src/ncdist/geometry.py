@@ -253,13 +253,14 @@ def _cut_point(x: float, xi8: float, zeta: float) -> tuple[int, float, float, tu
     return code, d[0], p, (0.25 * cos_a - s * sin_a, 0.25 * sin_a + s * cos_a)
 
 
-def _band_region(x, a) -> Region:
+def _band_region(x, kernel_values) -> Region:
     """Region of a nonclassical qutrit from its nearest point x, for the
-    kernel a ascending, under the tie rule of :func:`_cut_projection`.
-    Along the cut segment x1 - x2 grows from 0 at Q by (2 a3 - a1 - a2) /
-    (2 sqrt 3) = (2/sqrt 3) sin(zeta + pi/6) per unit chart-plane length,
-    and x2 - x3 from 0 at R by (a2 + a3 - 2 a1) / (2 sqrt 3)."""
-    a1, a2, a3 = a
+    kernel's own non-increasing values a3 >= a2 >= a1, under the tie rule
+    of :func:`_cut_projection`. Along the cut segment x1 - x2 grows from 0
+    at Q by (2 a3 - a1 - a2) / (2 sqrt 3) = (2/sqrt 3) sin(zeta + pi/6) per
+    unit chart-plane length, and x2 - x3 from 0 at R by (a2 + a3 - 2 a1) /
+    (2 sqrt 3)."""
+    a3, a2, a1 = kernel_values
     if x[0] - x[1] <= (2.0 * a3 - a1 - a2) / (2.0 * SQRT3) * _TIE_TOL:
         return Region.AQT
     if x[1] - x[2] <= (a2 + a3 - 2.0 * a1) / (2.0 * SQRT3) * _TIE_TOL:

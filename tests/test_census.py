@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CENSUS = ROOT / "tools" / "census.py"
-FAMILIES = ["scan", "qutrit-points", "cli-short", "general"]
+FAMILIES = ["scan", "qutrit-points", "cli-short", "general", "sample-min"]
 
 
 def mutated(tmp_path: Path, module: str, patch: str, before: str | None = None) -> Path:
@@ -63,7 +63,7 @@ def test_one_ulp_distance_change_is_reported(tmp_path):
     )
     code, summary = census(base)
     assert code == 1
-    scan, points, short, general = summary
+    scan, points, short, general, _ = summary
     assert scan["differ"] > 0 and points["differ"] > 0
     assert short["differ"] == 0 and general["differ"] == 0
     example = points["examples"][0]
@@ -85,7 +85,7 @@ def test_one_ulp_nearest_point_change_is_reported(tmp_path):
     )
     code, summary = census(base)
     assert code == 1
-    scan, points, _, general = summary
+    scan, points, _, general, _ = summary
     assert scan["differ"] == 0 and points["differ"] == 0 and general["differ"] > 0
     example = general["examples"][0]
     assert example["base"][5] != example["head"][5]  # nearest
@@ -108,6 +108,6 @@ def test_reordered_start_slope_is_reported(tmp_path):
     )
     code, summary = census(base)
     assert code == 1
-    scan, points, short, general = summary
+    scan, points, short, general, _ = summary
     assert scan["differ"] == 0 and points["differ"] == 0 and short["differ"] == 0
     assert general["differ"] > 0

@@ -747,9 +747,10 @@ class TestBlockEvaluation:
     def test_public_projections_match_expanded_loops(self):
         """project_monotone_nonincreasing and project_simplex expand the
         shared block helpers with the same bits as the loops on the
-        expanded lists, on unsorted, tied and integer input."""
+        expanded lists, on unsorted, tied, integer, empty and signed-zero
+        input."""
         rng = np.random.default_rng(73)
-        inputs = [[0, 1], [1, 0, 0], [2, 2, -1, 3]]
+        inputs = [[0, 1], [1, 0, 0], [2, 2, -1, 3], [], [-0.0], [0.0, -0.0], [-0.0, 1, -0.0]]
         for n in (1, 2, 3, 5, 8, 16, 64):
             inputs += [
                 rng.normal(size=n).tolist(),
@@ -1148,7 +1149,7 @@ class TestKernelRecord:
 
     def test_kernel_with_a_record_acts_as_a_fresh_one(self):
         def fields(data):
-            return data.a, data.pa, bits((data.slope, data.factor))
+            return bits((*data.pa, data.slope, data.factor))
 
         k, fresh = random_kernel(8, 5), random_kernel(8, 5)
         assert not distance_general(Spectrum((1.0,) + (0.0,) * 7), k).classical

@@ -20,7 +20,10 @@ cases, generated by this file. A case records:
   include sign-row states, which make the projector restart. One kernel
   object serves all the states of that kernel, so the first projected
   state of each kernel builds the projector's record of the kernel (the
-  cold path) and the later ones reuse it (the warm path).
+  cold path) and the later ones reuse it (the warm path);
+- `sample-min`: the exit code, stdout and stderr of one `nc sample-min`
+  of 1500 samples at n = 2, 3, 8 or 16, so both of the sampler's paths
+  run and the last block is partial.
 
 It prints one JSON summary per family: the number of cases, the number
 that differ and the first few differing cases with both records. The exit
@@ -219,6 +222,32 @@ def family_cli_short(quick: bool):
         yield argv, _run_cli(argv)
 
 
+def family_sample_min(quick: bool):
+    """`nc sample-min` at n = 2, 3, 8 and 16, which is above the sampler's
+    Gram-Schmidt limit, so both of its paths run, on spectrum and matrix
+    payloads, with `--pi` kernels (and `--zeta` at n = 3) and fixed seeds.
+    1500 samples make a full block and a partial last one. Then the
+    rejected inputs."""
+    rng = random.Random(2051)
+    for n in (2, 3, 8, 16):
+        for rep in range(2 if quick else 6):
+            sources = [["--pi=" + _kernel_text(rng, n)]]
+            if n == 3:
+                sources.append(["--zeta", repr(rng.uniform(0.0, ZETA_MAX))])
+            _write_state(rng, n, matrix=rep % 2 == 1)
+            for source in sources:
+                argv = ["sample-min", "--state", "state.json", *source,
+                        "--samples", "1500", "--seed", str(rep)]
+                yield [n, rep, *argv], _run_cli(argv)
+    # a qutrit state, so that --zeta is valid and only the marked input fails
+    _write_state(rng, 3, matrix=False)
+    for argv in (
+        ["sample-min", "--state", "state.json", "--zeta", "0.3", "--samples", "0"],
+        ["sample-min", "--state", "state.json", "--zeta", "0.3", "--seed", "-1"],
+    ):
+        yield argv, _run_cli(argv)
+
+
 def _dirichlet(rng: random.Random, n: int, alpha: float) -> list[float]:
     """A Dirichlet(alpha) point of the probability simplex, unsorted."""
     w = [rng.gammavariate(alpha, 1.0) for _ in range(n)]
@@ -319,7 +348,8 @@ def family_general(quick: bool):
 
 #: each family's cases, (key, record) pairs, in the order they run
 FAMILIES = {"scan": family_scan, "qutrit-points": family_qutrit_points,
-            "cli-short": family_cli_short, "general": family_general}
+            "cli-short": family_cli_short, "general": family_general,
+            "sample-min": family_sample_min}
 
 
 def child(src: str, out: str, quick: bool) -> None:
