@@ -23,6 +23,7 @@ from .core import (
     Frozen,
     QutritChart,
     Spectrum,
+    _admitted_spectrum,
     conversion_factor,
     require_chamber,
     spectrum_from_chart,
@@ -300,6 +301,23 @@ def _project_cut(r: Sequence[float], data: _KernelData, floor: float) -> list[fl
     restarts. A block's value is read off the prefix sums of r and a, r's
     taken once per call, each step pools from the blocks of the step
     before it, and x is expanded once, at the end.
+
+    The point returned carries what :func:`distance_general` relies on to
+    store it as a Spectrum with no second sort or check
+    (:func:`_admitted_spectrum`):
+
+    - it is non-increasing: its blocks' values strictly decrease, and
+      subtracting one theta keeps their order, though rounding may make
+      two adjacent blocks equal;
+    - its last entry is >= 0, also after a restart, since a point whose
+      last entry is negative is never returned, and the padding is 0.0;
+    - no entry is -0.0: value - theta of two equal floats is +0.0;
+    - its total is within n * 2**-52 of 1, so every entry lies in
+      [0, 1 + n * 2**-52]: theta makes the blocks sum to one up to
+      rounding, and the census's states come within half that bound.
+
+    The tests check each of these on seeded, tied and sign-row states up
+    to n = 64.
     """
     n = len(r)
     pr = [0.0, *accumulate(r)]
@@ -361,18 +379,18 @@ def distance_general(r: Spectrum, kernel: KernelSpectrum) -> IndicatorResult:
 
     The kernel's record for the projector (:class:`_KernelData`) is built
     on its first projection and kept on the kernel, so the many states of
-    one kernel share it.
+    one kernel share it. The nearest point becomes a Spectrum with no
+    second sort or check, by the invariants :func:`_project_cut` states.
     """
     floor = wigner_floor(r, kernel)
     n = len(r.values)
     if floor_is_classical(floor):
         return IndicatorResult(0.0, 0.0, Region.OQR if n == 3 else None, r, floor)
-    try:
-        data = kernel._projector_data
-    except AttributeError:
+    data = getattr(kernel, "_projector_data", None)
+    if data is None:
         data = _KernelData(kernel)
         object.__setattr__(kernel, "_projector_data", data)
-    nearest = Spectrum(_project_cut(r.values, data, floor))
+    nearest = _admitted_spectrum(tuple(_project_cut(r.values, data, floor)))
     # pow(d, 2), not d * d: the two can round apart, which would move census outputs
     d_frob = math.sqrt(math.fsum(map(pow, map(operator.sub, r.values, nearest.values), repeat(2))))
     region = _band_region(nearest.values, kernel.values) if n == 3 else None

@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 import typing
 from pathlib import Path
 
@@ -173,3 +174,56 @@ def test_type_hints_resolve():
     assert failed == []
     exported = [name for name in ncdist.__all__ if callable(getattr(ncdist, name))]
     assert [name for name in exported if name not in checked] == []
+
+
+#: value classes that perfbench's traced run rebinds to plain functions in
+#: every package module that holds them as globals
+_REBOUND_CLASSES = ("Spectrum", "KernelSpectrum", "QutritChart")
+
+
+def _entry_point_runs(tmp_path, capsys) -> dict:
+    """Results of the package's entry points on fixed inputs: the projector
+    on a mixed and a pure state per kernel (the first call cold, the
+    second warm), `nc indicator` at n = 3 and 5, and the closed form at a
+    band and a beyond-band chart point."""
+    from ncdist.cli import main
+
+    runs = {}
+    for n, mixed in ((3, (0.9, 0.1, 0.0)), (5, (0.6, 0.2, 0.1, 0.1, 0.0))):
+        kernel = ncdist.random_kernel(n, 4)
+        for label, values in (("mixed", mixed), ("pure", (1.0,) + (0.0,) * (n - 1))):
+            res = ncdist.distance_general(ncdist.Spectrum(values), kernel)
+            runs[f"general {n} {label}"] = (res.nearest.values, res.distance_paper, res.region)
+        path = tmp_path / f"state{n}.json"
+        path.write_text(f'{{"n": {n}, "spectrum": {list(mixed)}}}')
+        source = ["--zeta", "0.3"] if n == 3 else ["--seed", "4"]
+        code = main(["indicator", "--state", str(path), *source])
+        runs[f"indicator {n}"] = (code, *capsys.readouterr())
+    for xi3, xi8 in ((0.2, 0.45), (0.8, 0.5)):
+        res = ncdist.qutrit_distance(ncdist.QutritChart(xi3, xi8), 0.3)
+        runs[f"qutrit {xi3}"] = (res.nearest.values, res.distance_paper, res.region)
+    return runs
+
+
+def test_value_classes_rebound_to_functions(tmp_path, capsys, monkeypatch):
+    """perfbench's traced run (tracing.py, read, not imported) wraps
+    Spectrum, KernelSpectrum and QutritChart in plain functions and rebinds
+    them in every package module, so a class attribute or an isinstance
+    test reached through such a module global works untraced and fails
+    traced. The entry points must give the same results both ways."""
+    import ncdist.cli  # noqa: F401 - a module to rebind in
+
+    plain = _entry_point_runs(tmp_path, capsys)
+    assert plain["indicator 3"][0] == plain["indicator 5"][0] == 0
+    assert all(plain[f"general {n} {label}"][1] > 0.0 for n in (3, 5) for label in ("mixed", "pure"))
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "ncdist"]
+    rebound = 0
+    for name in _REBOUND_CLASSES:
+        cls = getattr(ncdist, name)
+        wrapper = lambda *args, cls=cls, **kwargs: cls(*args, **kwargs)  # noqa: E731
+        for module in modules:
+            if vars(module).get(name) is cls:
+                monkeypatch.setattr(module, name, wrapper)
+                rebound += 1
+    assert rebound >= 6
+    assert _entry_point_runs(tmp_path, capsys) == plain

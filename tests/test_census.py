@@ -111,3 +111,29 @@ def test_reordered_start_slope_is_reported(tmp_path):
     scan, points, short, general, _ = summary
     assert scan["differ"] == 0 and points["differ"] == 0 and short["differ"] == 0
     assert general["differ"] > 0
+
+
+def test_one_ulp_sampler_change_is_reported(tmp_path):
+    """A base whose Gram-Schmidt block path returns every sampled Wigner
+    value one float up: the printed `sample-min` output does not change,
+    since the eigenbasis candidate beats every draw, but the record of the
+    minimum over the draws alone does, at every n up to the path's limit;
+    the other families do not change."""
+    base = mutated(
+        tmp_path,
+        "wigner.py",
+        "\n\n_exact = _gs_values\n\n\n"
+        + "def _gs_values(z, rho, pi):\n"
+        + "    import numpy as np\n\n"
+        + "    vals = _exact(z, rho, pi)\n"
+        + "    vals.real = np.nextafter(vals.real, np.inf)\n"
+        + "    return vals\n",
+    )
+    code, summary = census(base)
+    assert code == 1
+    *others, sample_min = summary
+    assert [s["differ"] for s in others] == [0, 0, 0, 0]
+    assert sample_min["differ"] == 8
+    for example in sample_min["examples"]:
+        assert example["base"][:3] == example["head"][:3]
+        assert example["base"][3] != example["head"][3]

@@ -1,8 +1,10 @@
 import copy
 import importlib.util
+import json
 import math
 import operator
 import pickle
+import re
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -14,6 +16,7 @@ from conftest import random_chamber_chart, random_spectrum
 from ncdist import (
     DimensionMismatch,
     KernelSpectrum,
+    NotAState,
     OutOfChamber,
     QutritChart,
     Region,
@@ -34,6 +37,7 @@ from ncdist import (
     spectrum_from_chart,
     wigner_floor,
 )
+from ncdist.cli import main as cli_main
 from ncdist.core import chamber_mask
 from ncdist.distance import _evaluate, _KernelData, _pool, _project_cut, _read, _x
 from ncdist.geometry import _TIE_TOL, REGIONS, _cut_point
@@ -1191,3 +1195,67 @@ class TestKernelRecord:
             projected += not cold[4]
             tied += not cold[4] and any(map(operator.eq, r.values, r.values[1:]))
         assert projected >= 250 and tied >= 100
+
+
+class TestAdmittedNearestPoint:
+    """distance_general stores the projector's point as a Spectrum with no
+    second sort or check (_admitted_spectrum). That rests on the point
+    being what Spectrum would keep bit for bit, and these tests check it
+    wherever the projector runs: on the census's quick `general` states, on
+    sign-row states, which make it restart, and on tied states up to
+    n = 64. Values from outside still go through Spectrum's checks."""
+
+    def test_nearest_point_is_already_admitted(self, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        cases = [(Spectrum(tuple(values)), k) for _, k, values in census.general_states(True)]
+        cases += sign_row_states(np.random.default_rng(81))
+        for r, a in evaluation_cases():
+            if any(map(operator.eq, r, r[1:])):
+                cases.append((Spectrum(r), KernelSpectrum(a)))
+        projected = tied = restarts = 0
+        for r, k in cases:
+            calls.clear()
+            res = distance_general(r, k)
+            if res.classical:
+                continue
+            x = res.nearest.values
+            n = len(x)
+            assert type(x) is tuple and len(x) == r.n
+            assert bits(x) == bits(Spectrum(x).values)
+            assert all(map(operator.ge, x, x[1:])) and x[-1] >= 0.0
+            assert "-0x0.0p+0" not in bits(x)
+            assert abs(math.fsum(x) - 1.0) <= n * 2**-52
+            projected += 1
+            tied += any(map(operator.eq, r.values, r.values[1:]))
+            restarts += any(lam == 0.0 for lam, _ in calls)
+        assert projected >= 500 and tied >= 120 and restarts >= 120
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0.6, 0.5, -0.1), "outside [0, 1]"),
+            ((1.5, -0.25, -0.25), "outside [0, 1]"),
+            ((math.nan, 0.5, 0.5), "must be finite"),
+            ((math.inf, 0.0, 0.0), "must be finite"),
+            ((0.5, 0.3, 0.1), "sum to"),
+        ],
+    )
+    def test_outside_values_are_still_checked(self, tmp_path, capsys, values, message):
+        with pytest.raises(NotAState, match=re.escape(message)):
+            Spectrum(values)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 3, "spectrum": list(values)}))
+        assert cli_main(["indicator", "--state", str(path), "--zeta", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_unordered_input_is_sorted(self, tmp_path, capsys):
+        assert Spectrum((0.1, 0.7, 0.2)).values == (0.7, 0.2, 0.1)
+        outputs = []
+        for values in ((0.1, 0.7, 0.2), (0.7, 0.2, 0.1)):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps({"n": 3, "spectrum": list(values)}))
+            assert cli_main(["indicator", "--state", str(path), "--zeta", "0.3"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+        assert json.loads(outputs[0].out)["classical"] is False

@@ -23,7 +23,9 @@ cases, generated by this file. A case records:
   cold path) and the later ones reuse it (the warm path);
 - `sample-min`: the exit code, stdout and stderr of one `nc sample-min`
   of 1500 samples at n = 2, 3, 8 or 16, so both of the sampler's paths
-  run and the last block is partial.
+  run and the last block is partial, and the minimum over the Haar draws
+  alone by `float.hex`. The printed minimum is the eigenbasis candidate's
+  in every case, so only that record checks the draws' arithmetic.
 
 It prints one JSON summary per family: the number of cases, the number
 that differ and the first few differing cases with both records. The exit
@@ -222,12 +224,38 @@ def family_cli_short(quick: bool):
         yield argv, _run_cli(argv)
 
 
+def _run_sample_min(argv: list[str]) -> list:
+    """`_run_cli`'s record of one `nc sample-min`, and the minimum over its
+    Haar draws alone, leaving out the two fixed candidates, as `float.hex`
+    (None when no block ran). The tree's own sampler computes it: every
+    block of draws, on either path, passes its values through
+    `wigner._real`, which is watched during the run; the candidates pass
+    single values."""
+    from ncdist import wigner
+
+    real, draws = wigner._real, []
+
+    def watched(vals):
+        out = real(vals)
+        if out.ndim:
+            draws.append(float(out.min()))
+        return out
+
+    wigner._real = watched
+    try:
+        record = _run_cli(argv)
+    finally:
+        wigner._real = real
+    return [*record, min(draws).hex() if draws else None]
+
+
 def family_sample_min(quick: bool):
     """`nc sample-min` at n = 2, 3, 8 and 16, which is above the sampler's
     Gram-Schmidt limit, so both of its paths run, on spectrum and matrix
     payloads, with `--pi` kernels (and `--zeta` at n = 3) and fixed seeds.
     1500 samples make a full block and a partial last one. Then the
-    rejected inputs."""
+    rejected inputs. Each record holds the minimum over the draws alone
+    (:func:`_run_sample_min`)."""
     rng = random.Random(2051)
     for n in (2, 3, 8, 16):
         for rep in range(2 if quick else 6):
@@ -238,14 +266,14 @@ def family_sample_min(quick: bool):
             for source in sources:
                 argv = ["sample-min", "--state", "state.json", *source,
                         "--samples", "1500", "--seed", str(rep)]
-                yield [n, rep, *argv], _run_cli(argv)
+                yield [n, rep, *argv], _run_sample_min(argv)
     # a qutrit state, so that --zeta is valid and only the marked input fails
     _write_state(rng, 3, matrix=False)
     for argv in (
         ["sample-min", "--state", "state.json", "--zeta", "0.3", "--samples", "0"],
         ["sample-min", "--state", "state.json", "--zeta", "0.3", "--seed", "-1"],
     ):
-        yield argv, _run_cli(argv)
+        yield argv, _run_sample_min(argv)
 
 
 def _dirichlet(rng: random.Random, n: int, alpha: float) -> list[float]:
