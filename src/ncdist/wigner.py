@@ -2,15 +2,18 @@
 classicality predicate and a Monte-Carlo sampling oracle for the floor.
 
 The oracle draws its Haar unitaries in blocks of `_BLOCK`, each block from
-one Gaussian call, and evaluates a block on one of two paths chosen by n.
+one Gaussian call into a buffer that a call of the oracle allocates once
+per block length, and evaluates a block on one of two paths chosen by n.
 Up to `_GS_MAX_N` it runs Gram-Schmidt on the Gaussian columns with the
-block on the trailing axis, so each numpy call serves every draw; above it,
+block on the trailing axis, so each numpy call serves every draw, and
+writes into work arrays also allocated once per block length; above it,
 numpy's stacked QR, which calls LAPACK once per matrix, and one einsum.
-LAPACK's per-call overhead dominates small matrices, while Gram-Schmidt
-makes O(n^2) numpy calls of n x `_BLOCK` entries. Measured per sample on
-one CPU, Gram-Schmidt is 1.8-3.5x faster at n <= 8, 1.4x at n = 12 and
-1.1-1.2x at n = 16, and 1.2-2.7x slower at n = 24..64; the switch stays
-below n = 16, where the two paths have also measured even."""
+Gram-Schmidt skips the last column, whose term follows from the trace:
+for a unitary, sum_k q_k^H rho q_k = tr rho. LAPACK's per-call overhead
+dominates small matrices, while Gram-Schmidt makes O(n^2) numpy calls of
+n x `_BLOCK` entries. Measured per sample on one CPU, draws included,
+Gram-Schmidt is 4.1x faster at n = 3, 2.0x at n = 8, 1.5x at n = 12 and
+1.15x at n = 16, and 5-7 % slower at n = 20 and 24."""
 
 from __future__ import annotations
 
@@ -27,8 +30,10 @@ CLASSICAL_TOL = 1e-12
 
 _IMAG_TOL = 1e-10
 #: Haar draws per Gaussian call, and the draws each numpy call of a block
-#: serves. Gram-Schmidt's temporaries hold n x _BLOCK entries; at n = 8 it
-#: measured 7.8 us per sample with blocks of 1024 and 9.6 with 4096
+#: serves. Gram-Schmidt's per-column arrays hold n x _BLOCK entries. Per
+#: sample on one CPU, best of four rounds, blocks of 256, 512, 1024 and
+#: 2048 took 0.57, 0.49, 0.45 and 0.45 us at n = 3 and 4.9, 4.4, 4.7 and
+#: 5.0 us at n = 8; in a whole n = 8 command 512 was faster in 8 of 16 runs
 _BLOCK = 1024
 #: largest n whose blocks are evaluated by Gram-Schmidt rather than QR
 _GS_MAX_N = 12
@@ -53,28 +58,65 @@ def _haar(z):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _gs_values(z, rho, pi):
+def _gs_work(n, count):
+    """The work arrays of `_gs_values` for blocks of `count` draws of n x n
+    matrices. `sampled_min` makes one set for its full blocks and one for
+    a short last block, rather than slicing the longer set: rounding can
+    depend on where a value falls in a vectorized loop."""
+    import numpy as np
+
+    cols = n - 1
+    return (
+        np.empty((cols, n, count), complex),  # q
+        np.empty((cols, n, count), complex),  # qc
+        np.empty((n, count), complex),  # tmp
+        np.empty((cols, count), complex),  # coef
+        np.empty((2, n, count)),  # sq
+        np.empty(count),  # norm
+        np.empty((cols, n, count), complex),  # rq
+        np.empty((cols, count), complex),  # w
+        np.empty(count, complex),  # vals
+    )
+
+
+def _gs_values(z, rho, pi, work):
     """Complex Wigner values sum_k pi_k q_k^H rho q_k of the Haar unitaries
-    `_haar(z)` of a Gaussian stack z of shape (count, n, n).
+    `_haar(z)` of a Gaussian stack z of shape (count, n, n), computed in
+    the arrays `work` made by `_gs_work(n, count)`; the result is one of
+    them, overwritten by the next call.
 
     Classical Gram-Schmidt, run twice for orthogonality to rounding (CGS2),
     orthonormalizes each matrix's columns with the draws on the trailing
     axis. It leaves each R diagonal positive, as `_haar`'s phase fold does,
     and such a QR is unique: the q_k are `_haar(z)`'s columns to rounding.
+    The last column is never formed: for a unitary, sum_k q_k^H rho q_k is
+    tr rho, so its term is pi_{n-1} (tr rho - sum_{k<n-1} q_k^H rho q_k).
     """
     import numpy as np
 
-    q = z.transpose(2, 1, 0).copy()  # q[k, i, b]: entry i of column k of draw b
-    qc = np.empty_like(q)
+    q, qc, tmp, coef, sq, norm, rq, w, vals = work
+    # q[k, i, b]: entry i of column k of draw b
+    np.copyto(q, z[..., :-1].transpose(2, 1, 0))
     for k in range(len(q)):
         v = q[k]
         for _ in range(2):
-            coef = [(qc[j] * v).sum(axis=0) for j in range(k)]
-            for j, c in enumerate(coef):
-                v -= q[j] * c
-        v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+            for j in range(k):
+                np.multiply(qc[j], v, out=tmp)
+                tmp.sum(axis=0, out=coef[j])
+            for j in range(k):
+                np.multiply(q[j], coef[j], out=tmp)
+                v -= tmp
+        np.square(v.real, out=sq[0])
+        np.square(v.imag, out=sq[1])
+        np.add(sq[0], sq[1], out=sq[0])
+        np.sqrt(sq[0].sum(axis=0, out=norm), out=norm)
+        v /= norm
         np.conjugate(v, out=qc[k])
-    return pi @ (qc * np.matmul(rho, q)).sum(axis=1)
+    np.matmul(rho, q, out=rq)
+    np.multiply(rq, qc, out=rq)
+    np.matmul(pi[:-1] - pi[-1], rq.sum(axis=1, out=w), out=vals)
+    vals += pi[-1] * np.trace(rho)
+    return vals
 
 
 def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
@@ -137,9 +179,13 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     unitary that realizes the opposite-order pairing, so the analytic floor
     is reached regardless of the sample budget. Deterministic per seed;
     each block of `_BLOCK` Haar draws comes from one Gaussian call, so the
-    draws do not depend on the block size. For n up to `_GS_MAX_N` a block
-    is evaluated by Gram-Schmidt (`_gs_values`), above it by `_haar` and
-    einsum; the two agree to rounding on the same draws.
+    draws do not depend on the block size, though the values can move by
+    rounding with it. For n up to `_GS_MAX_N` a block is evaluated by
+    Gram-Schmidt (`_gs_values`), above it by `_haar` and einsum; the two
+    agree to rounding on the same draws. The Gaussian buffer and the
+    Gram-Schmidt arrays are allocated once for the full blocks and once
+    for a short last block, so no block-sized array is allocated per
+    block on the Gram-Schmidt path.
     """
     import numpy as np
 
@@ -158,11 +204,19 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     best = min(best, wigner_value(rho_arr, vecs, kernel))
 
     rng = np.random.Generator(np.random.Philox(seed))
+    gauss = gs = None
     for start in range(0, samples, _BLOCK):
         count = min(_BLOCK, samples - start)
-        z = rng.standard_normal((count, n, n, 2)).view(complex)[..., 0]
-        if n <= _GS_MAX_N:
-            vals = _gs_values(z, rho_arr, pi)
+        if gauss is None or len(gauss) != count:
+            # the first block, or a short last one: the full blocks' arrays
+            # are freed before the short block's are made
+            gauss = gs = None
+            gauss = np.empty((count, n, n, 2))
+            gs = _gs_work(n, count) if n <= _GS_MAX_N else None
+        rng.standard_normal(out=gauss)
+        z = gauss.view(complex)[..., 0]
+        if gs is not None:
+            vals = _gs_values(z, rho_arr, pi, gs)
         else:
             u = _haar(z)
             vals = np.einsum("bik,ij,bjk,k->b", u.conj(), rho_arr, u, pi, optimize=True)

@@ -123,9 +123,9 @@ def test_one_ulp_sampler_change_is_reported(tmp_path):
         tmp_path,
         "wigner.py",
         "\n\n_exact = _gs_values\n\n\n"
-        + "def _gs_values(z, rho, pi):\n"
+        + "def _gs_values(z, rho, pi, work):\n"
         + "    import numpy as np\n\n"
-        + "    vals = _exact(z, rho, pi)\n"
+        + "    vals = _exact(z, rho, pi, work)\n"
         + "    vals.real = np.nextafter(vals.real, np.inf)\n"
         + "    return vals\n",
     )

@@ -21,7 +21,8 @@ from ncdist import (
     wigner_floor,
     wigner_value,
 )
-from ncdist.wigner import _BLOCK, _GS_MAX_N, _gs_values, _haar
+from ncdist import wigner
+from ncdist.wigner import _BLOCK, _GS_MAX_N, _gs_values, _gs_work, _haar
 
 ZETA_MAX = math.pi / 3.0
 #: sample counts on both sides of the sampler's block boundaries
@@ -105,32 +106,68 @@ class TestGramSchmidtBlocks:
     def test_matches_haar_per_draw(self):
         """Each value is the dense pairing of the unitary _haar makes of the
         same draw. The bound is about twice the worst of 26,400 draws at
-        n = 2..12, 9.8e-16 * max|pi|."""
+        n = 2..12 against `_haar` and einsum, 1.06e-15 * max|pi|."""
         rng = np.random.default_rng(11)
         for n in range(2, _GS_MAX_N + 1):
             rho = random_density_matrix(rng, n)
             pi = random_kernel(n, int(rng.integers(0, 1 << 30))).as_array()
             z = rng.standard_normal((6, n, n, 2)).view(complex)[..., 0]
-            vals = _gs_values(z, rho, pi)
+            vals = _gs_values(z, rho, pi, _gs_work(n, len(z)))
             u = _haar(z)
             for b in range(len(z)):
                 want = dense_pairing(rho, u[b], pi)
                 assert abs(vals[b].real - want) <= 2e-15 * np.abs(pi).max(), (n, b)
 
     def test_nearly_dependent_columns_stay_orthonormal(self):
-        """With pi = 1 the value is psi^H U U^H psi, which is 1 only if U is
-        unitary. A second column 1e-9 from the first loses orthogonality
-        in one Gram-Schmidt pass (|W - 1| of 1e-6 to 1e-5), not in two. The
-        bound is about twice the worst of 1.4 million draws, 1.0e-15."""
+        """Column 0 of each draw is a multiple of psi and column 1 lies
+        1e-9 from it, so with rho = psi psi^H and pi = (1, 1, 0, ..., 0)
+        the value is 1 + |q_0^H q_1|^2: it is 1 only if the two columns
+        are orthogonal. One Gram-Schmidt pass leaves |W - 1| up to 1.7e-11
+        over 102,400 draws, two do not. The bound is about twice the worst
+        of 1.0 million draws at n = 3..12, 1.1e-15. pi_{n-1} = 0, so the
+        trace identity that stands in for the last column does not hide
+        the check."""
         rng = np.random.default_rng(12)
-        for n in range(2, _GS_MAX_N + 1):
+        for n in range(3, _GS_MAX_N + 1):
             psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             psi /= np.linalg.norm(psi)
             z = rng.standard_normal((32, n, n, 2)).view(complex)[..., 0]
+            scale = rng.standard_normal((32, 2)).view(complex)
             noise = rng.standard_normal((32, n, 2)).view(complex)[..., 0]
+            z[:, :, 0] = scale * psi
             z[:, :, 1] = z[:, :, 0] + 1e-9 * noise
-            vals = _gs_values(z, np.outer(psi, psi.conj()), np.ones(n))
+            pi = np.zeros(n)
+            pi[:2] = 1.0
+            vals = _gs_values(z, np.outer(psi, psi.conj()), pi, _gs_work(n, len(z)))
             assert np.abs(vals - 1.0).max() <= 2e-15, n
+
+    def test_reused_buffers_match_fresh_ones(self, monkeypatch):
+        """sampled_min allocates its arrays once per block length and
+        reuses them: each block's values, over three full blocks and a
+        short last one, are byte for byte those of the block's draws
+        computed on fresh arrays of its own length."""
+        real, blocks = wigner._real, []
+
+        def watched(vals):
+            if vals.ndim:
+                blocks.append(vals.real.tobytes())
+            return real(vals)
+
+        monkeypatch.setattr(wigner, "_real", watched)
+        rng = np.random.default_rng(14)
+        samples = 3 * _BLOCK + 100
+        for n in range(2, _GS_MAX_N + 1):
+            rho = random_density_matrix(rng, n)
+            k = random_kernel(n, int(rng.integers(0, 1 << 30)))
+            blocks.clear()
+            sampled_min(rho, k, samples, n)
+            draws = np.random.Generator(np.random.Philox(n))
+            counts = [_BLOCK] * 3 + [100]
+            assert len(blocks) == len(counts), n
+            for got, count in zip(blocks, counts):
+                z = draws.standard_normal((count, n, n, 2)).view(complex)[..., 0]
+                vals = _gs_values(z, rho, k.as_array(), _gs_work(n, count))
+                assert got == vals.real.tobytes(), (n, count)
 
 
 class TestWignerFloor:
