@@ -1,19 +1,13 @@
 """Wigner-function values, the phase-space floor in closed form, the
 classicality predicate and a Monte-Carlo sampling oracle for the floor.
 
-The oracle draws its Haar unitaries in blocks of `_BLOCK`, each block from
-one Gaussian call into a buffer that a call of the oracle allocates once
-per block length, and evaluates a block on one of two paths chosen by n.
-Up to `_GS_MAX_N` it runs Gram-Schmidt on the Gaussian columns with the
-block on the trailing axis, so each numpy call serves every draw, and
-writes into work arrays also allocated once per block length; above it,
-numpy's stacked QR, which calls LAPACK once per matrix, and one einsum.
-Gram-Schmidt skips the last column, whose term follows from the trace:
-for a unitary, sum_k q_k^H rho q_k = tr rho. LAPACK's per-call overhead
-dominates small matrices, while Gram-Schmidt makes O(n^2) numpy calls of
-n x `_BLOCK` entries. Measured per sample on one CPU, draws included,
-Gram-Schmidt is 4.1x faster at n = 3, 2.0x at n = 8, 1.5x at n = 12 and
-1.15x at n = 16, and 5-7 % slower at n = 20 and 24."""
+The oracle draws its Haar unitaries in blocks of `_BLOCK`, each from one
+Gaussian call, and evaluates every block with one function,
+`_block_values`, in arrays allocated once per block length per call. Only
+the orthonormalizer is chosen by n: Gram-Schmidt on the whole block up to
+`_GS_MAX_N`, numpy's stacked QR above. A value depends on each column only
+through q_k q_k^H, so phases do not matter, and the last column's term
+follows from the trace: for a unitary, sum_k q_k^H rho q_k = tr rho."""
 
 from __future__ import annotations
 
@@ -35,8 +29,13 @@ _IMAG_TOL = 1e-10
 #: 2048 took 0.57, 0.49, 0.45 and 0.45 us at n = 3 and 4.9, 4.4, 4.7 and
 #: 5.0 us at n = 8; in a whole n = 8 command 512 was faster in 8 of 16 runs
 _BLOCK = 1024
-#: largest n whose blocks are evaluated by Gram-Schmidt rather than QR
-_GS_MAX_N = 12
+#: largest n whose blocks are orthonormalized by Gram-Schmidt rather than
+#: QR. LAPACK's per-call overhead dominates small matrices, while
+#: Gram-Schmidt makes O(n^2) numpy calls of n x _BLOCK entries. Per block,
+#: draws excluded, on one CPU, Gram-Schmidt took 0.12, 0.37, 0.52-0.60,
+#: 0.77-0.86, 0.95-0.97 and 1.00-1.03 times QR's time at n = 3, 8, 12, 16,
+#: 17 and 18 (medians of 10 to 20 alternating runs), 1.6 times at n = 24
+_GS_MAX_N = 17
 
 
 def _real(vals):
@@ -58,17 +57,18 @@ def _haar(z):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _gs_work(n, count):
-    """The work arrays of `_gs_values` for blocks of `count` draws of n x n
-    matrices. `sampled_min` makes one set for its full blocks and one for
-    a short last block, rather than slicing the longer set: rounding can
-    depend on where a value falls in a vectorized loop."""
+def _block_work(n, count):
+    """The work arrays of `_block_values` for blocks of `count` draws of
+    n x n matrices. `sampled_min` makes one set for its full blocks and one
+    for a short last block, rather than slicing the longer set: rounding
+    can depend on where a value falls in a vectorized loop. QR, above
+    `_GS_MAX_N`, has no `qc`: it conjugates `q` in place."""
     import numpy as np
 
     cols = n - 1
     return (
         np.empty((cols, n, count), complex),  # q
-        np.empty((cols, n, count), complex),  # qc
+        np.empty((cols, n, count), complex) if n <= _GS_MAX_N else None,  # qc
         np.empty((n, count), complex),  # tmp
         np.empty((cols, count), complex),  # coef
         np.empty((2, n, count)),  # sq
@@ -79,40 +79,45 @@ def _gs_work(n, count):
     )
 
 
-def _gs_values(z, rho, pi, work):
+def _block_values(z, rho, pi, work):
     """Complex Wigner values sum_k pi_k q_k^H rho q_k of the Haar unitaries
-    `_haar(z)` of a Gaussian stack z of shape (count, n, n), computed in
-    the arrays `work` made by `_gs_work(n, count)`; the result is one of
-    them, overwritten by the next call.
+    `_haar(z)` of a Gaussian stack z of shape (count, n, n), in the arrays
+    `work` made by `_block_work(n, count)`; the result is one of them,
+    overwritten by the next call.
 
-    Classical Gram-Schmidt, run twice for orthogonality to rounding (CGS2),
-    orthonormalizes each matrix's columns with the draws on the trailing
-    axis. It leaves each R diagonal positive, as `_haar`'s phase fold does,
-    and such a QR is unique: the q_k are `_haar(z)`'s columns to rounding.
-    The last column is never formed: for a unitary, sum_k q_k^H rho q_k is
-    tr rho, so its term is pi_{n-1} (tr rho - sum_{k<n-1} q_k^H rho q_k).
+    One evaluator, two orthonormalizers of the first n - 1 columns: CGS2
+    (classical Gram-Schmidt run twice, for orthogonality to rounding) up to
+    `_GS_MAX_N`, numpy's stacked QR above. Each gives `_haar(z)`'s q_k up
+    to a phase, which cancels in q_k^H rho q_k, so neither folds R's phases
+    back. The last column is never used: for a unitary, sum_k q_k^H rho q_k
+    is tr rho, so its term is pi_{n-1} (tr rho - sum_{k<n-1} q_k^H rho q_k).
     """
     import numpy as np
 
     q, qc, tmp, coef, sq, norm, rq, w, vals = work
     # q[k, i, b]: entry i of column k of draw b
-    np.copyto(q, z[..., :-1].transpose(2, 1, 0))
-    for k in range(len(q)):
-        v = q[k]
-        for _ in range(2):
-            for j in range(k):
-                np.multiply(qc[j], v, out=tmp)
-                tmp.sum(axis=0, out=coef[j])
-            for j in range(k):
-                np.multiply(q[j], coef[j], out=tmp)
-                v -= tmp
-        np.square(v.real, out=sq[0])
-        np.square(v.imag, out=sq[1])
-        np.add(sq[0], sq[1], out=sq[0])
-        np.sqrt(sq[0].sum(axis=0, out=norm), out=norm)
-        v /= norm
-        np.conjugate(v, out=qc[k])
+    if qc is None:
+        np.copyto(q, np.linalg.qr(z)[0][..., :-1].transpose(2, 1, 0))
+    else:
+        np.copyto(q, z[..., :-1].transpose(2, 1, 0))
+        for k in range(len(q)):
+            v = q[k]
+            for _ in range(2):
+                for j in range(k):
+                    np.multiply(qc[j], v, out=tmp)
+                    tmp.sum(axis=0, out=coef[j])
+                for j in range(k):
+                    np.multiply(q[j], coef[j], out=tmp)
+                    v -= tmp
+            np.square(v.real, out=sq[0])
+            np.square(v.imag, out=sq[1])
+            np.add(sq[0], sq[1], out=sq[0])
+            np.sqrt(sq[0].sum(axis=0, out=norm), out=norm)
+            v /= norm
+            np.conjugate(v, out=qc[k])
     np.matmul(rho, q, out=rq)
+    if qc is None:
+        qc = np.conjugate(q, out=q)
     np.multiply(rq, qc, out=rq)
     np.matmul(pi[:-1] - pi[-1], rq.sum(axis=1, out=w), out=vals)
     vals += pi[-1] * np.trace(rho)
@@ -180,12 +185,11 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     is reached regardless of the sample budget. Deterministic per seed;
     each block of `_BLOCK` Haar draws comes from one Gaussian call, so the
     draws do not depend on the block size, though the values can move by
-    rounding with it. For n up to `_GS_MAX_N` a block is evaluated by
-    Gram-Schmidt (`_gs_values`), above it by `_haar` and einsum; the two
-    agree to rounding on the same draws. The Gaussian buffer and the
-    Gram-Schmidt arrays are allocated once for the full blocks and once
-    for a short last block, so no block-sized array is allocated per
-    block on the Gram-Schmidt path.
+    rounding with it. Every block is evaluated by `_block_values`, whose
+    two orthonormalizers, Gram-Schmidt up to `_GS_MAX_N` and QR above,
+    agree to rounding on the same draws. Its work arrays and the Gaussian
+    buffer are allocated once for the full blocks and once for a short
+    last block; only QR's own temporaries are allocated per block.
     """
     import numpy as np
 
@@ -204,21 +208,16 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     best = min(best, wigner_value(rho_arr, vecs, kernel))
 
     rng = np.random.Generator(np.random.Philox(seed))
-    gauss = gs = None
+    gauss = work = None
     for start in range(0, samples, _BLOCK):
         count = min(_BLOCK, samples - start)
         if gauss is None or len(gauss) != count:
             # the first block, or a short last one: the full blocks' arrays
             # are freed before the short block's are made
-            gauss = gs = None
+            gauss = work = None
             gauss = np.empty((count, n, n, 2))
-            gs = _gs_work(n, count) if n <= _GS_MAX_N else None
+            work = _block_work(n, count)
         rng.standard_normal(out=gauss)
-        z = gauss.view(complex)[..., 0]
-        if gs is not None:
-            vals = _gs_values(z, rho_arr, pi, gs)
-        else:
-            u = _haar(z)
-            vals = np.einsum("bik,ij,bjk,k->b", u.conj(), rho_arr, u, pi, optimize=True)
+        vals = _block_values(gauss.view(complex)[..., 0], rho_arr, pi, work)
         best = min(best, float(np.min(_real(vals))))
     return best

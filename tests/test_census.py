@@ -114,16 +114,16 @@ def test_reordered_start_slope_is_reported(tmp_path):
 
 
 def test_one_ulp_sampler_change_is_reported(tmp_path):
-    """A base whose Gram-Schmidt block path returns every sampled Wigner
-    value one float up: the printed `sample-min` output does not change,
-    since the eigenbasis candidate beats every draw, but the record of the
-    minimum over the draws alone does, at every n up to the path's limit;
-    the other families do not change."""
+    """A base whose block evaluator returns every sampled Wigner value one
+    float up: the printed `sample-min` output does not change, since the
+    eigenbasis candidate beats every draw, but the record of the minimum
+    over the draws alone does, in every case that draws, on either
+    orthonormalizer; the other families do not change."""
     base = mutated(
         tmp_path,
         "wigner.py",
-        "\n\n_exact = _gs_values\n\n\n"
-        + "def _gs_values(z, rho, pi, work):\n"
+        "\n\n_exact = _block_values\n\n\n"
+        + "def _block_values(z, rho, pi, work):\n"
         + "    import numpy as np\n\n"
         + "    vals = _exact(z, rho, pi, work)\n"
         + "    vals.real = np.nextafter(vals.real, np.inf)\n"
@@ -133,7 +133,7 @@ def test_one_ulp_sampler_change_is_reported(tmp_path):
     assert code == 1
     *others, sample_min = summary
     assert [s["differ"] for s in others] == [0, 0, 0, 0]
-    assert sample_min["differ"] == 8
+    assert sample_min["differ"] == 12
     for example in sample_min["examples"]:
         assert example["base"][:3] == example["head"][:3]
         assert example["base"][3] != example["head"][3]

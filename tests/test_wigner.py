@@ -22,7 +22,7 @@ from ncdist import (
     wigner_value,
 )
 from ncdist import wigner
-from ncdist.wigner import _BLOCK, _GS_MAX_N, _gs_values, _gs_work, _haar
+from ncdist.wigner import _BLOCK, _GS_MAX_N, _block_values, _block_work, _haar
 
 ZETA_MAX = math.pi / 3.0
 #: sample counts on both sides of the sampler's block boundaries
@@ -90,8 +90,8 @@ class TestWignerValue:
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_haar_stack_matches_single_matrices(n):
     """A block of Haar unitaries is, bit for bit, the unitaries of its
-    matrices taken one at a time, so haar_unitary and sampled_min's blocks
-    above _GS_MAX_N, which call _haar on the whole block, are one sampler."""
+    matrices taken one at a time, so `_haar` on a whole block, the block
+    tests' reference, draws what haar_unitary draws one at a time."""
     rng = np.random.default_rng(n)
     z = rng.standard_normal((9, n, n, 2)).view(complex)[..., 0]
     stack = _haar(z)
@@ -100,19 +100,21 @@ def test_haar_stack_matches_single_matrices(n):
 
 
 class TestGramSchmidtBlocks:
-    """sampled_min's block path for n <= _GS_MAX_N, which computes the
-    Wigner values from the Gaussian stack without forming the unitaries."""
+    """sampled_min's one block evaluator, which computes the Wigner values
+    from the Gaussian stack without forming the unitaries: by Gram-Schmidt
+    for n <= _GS_MAX_N and by QR above."""
 
     def test_matches_haar_per_draw(self):
         """Each value is the dense pairing of the unitary _haar makes of the
-        same draw. The bound is about twice the worst of 26,400 draws at
-        n = 2..12 against `_haar` and einsum, 1.06e-15 * max|pi|."""
+        same draw, on both orthonormalizers. The bound is about twice the
+        worst of 46,000 draws at n = 2..24 against `_haar` and einsum,
+        1.02e-15 * max|pi|."""
         rng = np.random.default_rng(11)
-        for n in range(2, _GS_MAX_N + 1):
+        for n in range(2, 25):
             rho = random_density_matrix(rng, n)
             pi = random_kernel(n, int(rng.integers(0, 1 << 30))).as_array()
             z = rng.standard_normal((6, n, n, 2)).view(complex)[..., 0]
-            vals = _gs_values(z, rho, pi, _gs_work(n, len(z)))
+            vals = _block_values(z, rho, pi, _block_work(n, len(z)))
             u = _haar(z)
             for b in range(len(z)):
                 want = dense_pairing(rho, u[b], pi)
@@ -138,14 +140,16 @@ class TestGramSchmidtBlocks:
             z[:, :, 1] = z[:, :, 0] + 1e-9 * noise
             pi = np.zeros(n)
             pi[:2] = 1.0
-            vals = _gs_values(z, np.outer(psi, psi.conj()), pi, _gs_work(n, len(z)))
+            rho = np.outer(psi, psi.conj())
+            vals = _block_values(z, rho, pi, _block_work(n, len(z)))
             assert np.abs(vals - 1.0).max() <= 2e-15, n
 
     def test_reused_buffers_match_fresh_ones(self, monkeypatch):
         """sampled_min allocates its arrays once per block length and
         reuses them: each block's values, over three full blocks and a
-        short last one, are byte for byte those of the block's draws
-        computed on fresh arrays of its own length."""
+        short last one, on both sides of the switch, are byte for byte
+        those of the block's draws computed on fresh arrays of its own
+        length."""
         real, blocks = wigner._real, []
 
         def watched(vals):
@@ -156,7 +160,7 @@ class TestGramSchmidtBlocks:
         monkeypatch.setattr(wigner, "_real", watched)
         rng = np.random.default_rng(14)
         samples = 3 * _BLOCK + 100
-        for n in range(2, _GS_MAX_N + 1):
+        for n in (*range(2, _GS_MAX_N), *SWITCH_EDGES):
             rho = random_density_matrix(rng, n)
             k = random_kernel(n, int(rng.integers(0, 1 << 30)))
             blocks.clear()
@@ -166,7 +170,7 @@ class TestGramSchmidtBlocks:
             assert len(blocks) == len(counts), n
             for got, count in zip(blocks, counts):
                 z = draws.standard_normal((count, n, n, 2)).view(complex)[..., 0]
-                vals = _gs_values(z, rho, k.as_array(), _gs_work(n, count))
+                vals = _block_values(z, rho, k.as_array(), _block_work(n, count))
                 assert got == vals.real.tobytes(), (n, count)
 
 

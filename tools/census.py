@@ -22,10 +22,11 @@ cases, generated by this file. A case records:
   state of each kernel builds the projector's record of the kernel (the
   cold path) and the later ones reuse it (the warm path);
 - `sample-min`: the exit code, stdout and stderr of one `nc sample-min`
-  of 1500 samples at n = 2, 3, 8 or 16, so both of the sampler's paths
-  run and the last block is partial, and the minimum over the Haar draws
-  alone by `float.hex`. The printed minimum is the eigenbasis candidate's
-  in every case, so only that record checks the draws' arithmetic.
+  of 1500 samples at n = 2, 3, 8, 16 or 24, so both of the sampler's
+  orthonormalizers run and the last block is partial, and the minimum
+  over the Haar draws alone by `float.hex`. The printed minimum is the
+  eigenbasis candidate's in every case, so only that record checks the
+  draws' arithmetic.
 
 It prints one JSON summary per family: the number of cases, the number
 that differ and the first few differing cases with both records. The exit
@@ -250,14 +251,15 @@ def _run_sample_min(argv: list[str]) -> list:
 
 
 def family_sample_min(quick: bool):
-    """`nc sample-min` at n = 2, 3, 8 and 16, which is above the sampler's
-    Gram-Schmidt limit, so both of its paths run, on spectrum and matrix
-    payloads, with `--pi` kernels (and `--zeta` at n = 3) and fixed seeds.
+    """`nc sample-min` at n = 2, 3, 8, 16 and 24, so both of the sampler's
+    orthonormalizers run (24 is above its Gram-Schmidt limit), on spectrum
+    and matrix payloads, with `--pi` kernels (and `--zeta` at n = 3) and
+    fixed seeds.
     1500 samples make a full block and a partial last one. Then the
     rejected inputs. Each record holds the minimum over the draws alone
     (:func:`_run_sample_min`)."""
     rng = random.Random(2051)
-    for n in (2, 3, 8, 16):
+    for n in (2, 3, 8, 16, 24):
         for rep in range(2 if quick else 6):
             sources = [["--pi=" + _kernel_text(rng, n)]]
             if n == 3:
