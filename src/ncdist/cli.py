@@ -35,8 +35,8 @@ from .wigner import sampled_min, wigner_floor
 
 
 def _fmt(x: float) -> str:
-    """Decimal form capped at 12 significant digits, stable across runs."""
-    return format(float(x) + 0.0, ".12g")
+    """A non-negative float as decimal text, capped at 12 significant digits."""
+    return format(x, ".12g")
 
 
 def _zeta_value(args) -> float | None:
@@ -67,7 +67,7 @@ def _kernel_from_args(args, n: int, seed_selects_kernel: bool = True) -> KernelS
     zeta = _zeta_value(args)
     sources = [zeta is not None, args.pi is not None]
     if seed_selects_kernel:
-        sources.append(getattr(args, "seed", None) is not None)
+        sources.append(args.seed is not None)
     if sum(sources) != 1:
         names = "--zeta/--zeta-degrees, --pi" + (" or --seed" if seed_selects_kernel else "")
         raise ValueError(f"specify exactly one kernel source: {names}")

@@ -119,9 +119,9 @@ def positivity_polytope(kernel: KernelSpectrum) -> Polytope:
                 head, tail = (sums[k] - sums[l]) / den, sums[k] / den
                 points.append((head,) * k + (tail,) * (l - k) + (0.0,) * (n - l))
 
-    vertices = [Spectrum(p) for p in dict.fromkeys(points)]
+    vertices = [Spectrum(p) for p in points]
     if n == 3:
-        vertices.sort(key=lambda v: (chart_from_spectrum(v).xi3, chart_from_spectrum(v).xi8))
+        vertices.sort(key=lambda v: ((c := chart_from_spectrum(v)).xi3, c.xi8))
     else:
         vertices.sort(key=lambda v: v.values)
     return Polytope(n=n, vertices=tuple(vertices))

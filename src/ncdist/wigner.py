@@ -178,11 +178,11 @@ def haar_unitary(n: int, rng: Any) -> Any:
 
 def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     """Monte-Carlo floor: minimum Wigner value over Haar-random phase-space
-    points plus two fixed candidates.
+    points and the eigenbasis unitary.
 
-    The candidate set always contains the identity and the eigenbasis
-    unitary that realizes the opposite-order pairing, so the analytic floor
-    is reached regardless of the sample budget. Deterministic per seed;
+    The eigenbasis unitary realizes the opposite-order pairing, which no
+    unitary undercuts, so the analytic floor is reached regardless of the
+    sample budget. Deterministic per seed;
     each block of `_BLOCK` Haar draws comes from one Gaussian call, so the
     draws do not depend on the block size, though the values can move by
     rounding with it. Every block is evaluated by `_block_values`, whose
@@ -201,11 +201,10 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
         raise DimensionMismatch(f"state {rho_arr.shape} vs kernel n={n}")
     pi = kernel.as_array()
 
-    best = wigner_value(rho_arr, np.eye(n, dtype=complex), kernel)
     # eigh orders eigenvalues increasingly, which pairs them against the
     # decreasing kernel values: exactly the analytic optimum
     _, vecs = np.linalg.eigh((rho_arr + rho_arr.conj().T) / 2.0)
-    best = min(best, wigner_value(rho_arr, vecs, kernel))
+    best = wigner_value(rho_arr, vecs, kernel)
 
     rng = np.random.Generator(np.random.Philox(seed))
     gauss = work = None

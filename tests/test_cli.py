@@ -100,6 +100,13 @@ class TestKernelCommand:
         assert out == ""
         assert "master equations" in err
 
+    @pytest.mark.parametrize("pi", ["1,,2", "1,1,-1,", ""], ids=["inner", "trailing", "empty"])
+    def test_empty_pi_entry_rejected(self, capsys, pi):
+        code, out, err = run_cli(capsys, "kernel", "--n", "3", "--pi", pi)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --pi expects a comma-separated list of numbers\n"
+
     def test_unicode_minus_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--n", "3", "--pi", "1,1,−1")
         assert code == 0
@@ -217,6 +224,30 @@ class TestIndicatorCommand:
         assert code == 2
         assert out == ""
         assert "'n' must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([0.5, 0.3, 0.2], "state file must be a JSON object with an 'n' field"),
+            ({"spectrum": [0.5, 0.3, 0.2]}, "state file must be a JSON object with an 'n' field"),
+            ({"n": 3, "spectrum": [0.6, 0.4]}, "spectrum has 2 entries, expected n=3"),
+            ({"n": 2, "spectrum": [0.5, 0.3, 0.2]}, "spectrum has 3 entries, expected n=2"),
+            ({"n": 2, "matrix_re": [[0.5, 0.0], [0.0, 0.5]]},
+             "matrix payload needs both 'matrix_re' and 'matrix_im'"),
+            ({"n": 2, "matrix_im": [[0.0, 0.0], [0.0, 0.0]]},
+             "matrix payload needs both 'matrix_re' and 'matrix_im'"),
+            ({"n": 1, "matrix_re": [[1.0]], "matrix_im": [[0.0]]},
+             "dimension must be at least 2"),
+        ],
+        ids=["list", "no_n", "short_spectrum", "long_spectrum", "re_only", "im_only",
+             "one_by_one_matrix"],
+    )
+    def test_malformed_state_file_rejected(self, capsys, tmp_path, payload, message):
+        state = write_state(tmp_path, "s.json", payload)
+        code, out, err = run_cli(capsys, "indicator", "--state", state, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -394,6 +425,16 @@ class TestScanCommand:
             assert "zeta" in err, zeta
             assert not out_path.exists(), zeta
 
+    def test_needs_an_angle(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "scan", "--resolution", "5", "--output", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: scan needs --zeta or --zeta-degrees\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("option", [["--seed", "3"], ["--pi", "1,1,-1"]])
     def test_takes_only_the_angle(self, capsys, tmp_path, option):
         out_path = tmp_path / "x.csv"
@@ -497,6 +538,26 @@ def test_negative_seed_names_the_option(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["kernel", "indicator", "polytope", "sample-min", "scan"])
+def test_both_angle_options_exit_two(capsys, tmp_path, command):
+    """--zeta and --zeta-degrees together name both options, in every
+    command that takes them, and scan writes no file."""
+    state = write_state(tmp_path, "s.json", {"n": 3, "spectrum": [0.7, 0.2, 0.1]})
+    out_path = tmp_path / "x.csv"
+    argv = {
+        "kernel": ["kernel", "--n", "3"],
+        "indicator": ["indicator", "--state", state],
+        "polytope": ["polytope", "--n", "3"],
+        "sample-min": ["sample-min", "--state", state],
+        "scan": ["scan", "--resolution", "5", "--output", str(out_path)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--zeta", "0", "--zeta-degrees", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: give either --zeta or --zeta-degrees, not both\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", ["kernel", "indicator", "polytope", "sample-min"])

@@ -111,6 +111,10 @@ class TestSpectrumFromMatrix:
         with pytest.raises(DimensionMismatch):
             spectrum_from_matrix(np.ones((2, 3)))
 
+    def test_rejects_one_by_one(self):
+        with pytest.raises(DimensionMismatch):
+            spectrum_from_matrix(np.ones((1, 1)))
+
 
 class TestChart:
     def test_maximally_mixed_at_origin(self):

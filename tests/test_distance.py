@@ -52,6 +52,10 @@ _spec.loader.exec_module(census)
 #: test_step_cap_up_to_n_64, and 6 over thirty other seeds of the same mix;
 #: _project_cut proves at most n per support
 STEP_CAP = 5
+#: how far qutrit_distance's chart-plane floor may lie from wigner_floor:
+#: twice the worst of test_seam_bound_of_the_two_floors's sweep over two
+#: seeds, 5.55e-16 at its seed 10 and 4.44e-16 at seed 2024
+SEAM_BOUND = 2 * 5.551115123125783e-16
 
 
 def frobenius_gap(a: Spectrum, b: Spectrum) -> float:
@@ -804,6 +808,14 @@ def sign_row_states(rng):
 
 
 class TestBruteforceProject:
+    def test_rejects_kernel_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            bruteforce_project(Spectrum((0.5, 0.3, 0.2)), random_kernel(4, 1))
+
+    def test_rejects_dimension_above_eight(self):
+        with pytest.raises(DimensionMismatch):
+            bruteforce_project(Spectrum((1.0 / 9.0,) * 9), random_kernel(9, 1))
+
     def test_classical_input_is_fixed_point(self):
         r = Spectrum((0.4, 0.35, 0.25))
         assert bruteforce_project(r, qutrit_kernel(0.0)).values == pytest.approx(
@@ -1113,6 +1125,22 @@ class TestDistanceGeneral:
             assert closed.region is general.region
             assert abs(closed.floor - general.floor) <= 1e-15
             assert closed.classical == general.classical
+
+    def test_seam_bound_of_the_two_floors(self):
+        """qutrit_distance decides `classical` on its chart-plane floor
+        1/3 - (4/3) p, distance_general on wigner_floor, so their flags can
+        differ only where the two floors straddle -1e-12. The floors stay
+        within SEAM_BOUND of each other on 62,000 uniform chamber points,
+        1000 at each of zeta = 0, pi/3 and 60 seeded angles."""
+        rng = np.random.default_rng(10)
+        worst = 0.0
+        for z in [0.0, ZETA_MAX, *rng.uniform(0.0, ZETA_MAX, 60).tolist()]:
+            k = qutrit_kernel(z)
+            for _ in range(1000):
+                c = random_chamber_chart(rng)
+                gap = abs(qutrit_distance(c, z).floor - wigner_floor(spectrum_from_chart(c), k))
+                worst = max(worst, gap)
+        assert worst <= SEAM_BOUND
 
     def test_region_tie_rule_on_the_general_path(self):
         """distance_general reads a nonclassical qutrit's region off its

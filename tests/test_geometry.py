@@ -6,6 +6,7 @@ import pytest
 
 from conftest import cut_points, random_chamber_chart
 from ncdist import (
+    DimensionMismatch,
     MetricConvention,
     ModuliOutOfRange,
     OutOfChamber,
@@ -146,6 +147,24 @@ class TestPositivityPolytope:
                     for j in range(i + 1, len(vs)):
                         assert float(np.linalg.norm(vs[i] - vs[j])) > 1e-9
 
+    def test_no_two_vertices_coincide(self):
+        """The polytope keeps every corner and cut point it makes, with no
+        pass that drops duplicates, so no two may be equal, bit for bit:
+        seeded random kernels at n = 2..64 and qutrit kernels at 0, pi/3
+        and seeded angles, where the degenerate ends put corners on the
+        cut."""
+        rng = np.random.default_rng(36)
+        kernels = [
+            random_kernel(n, int(rng.integers(0, 1 << 30)))
+            for n in range(2, 65)
+            for _ in range(10)
+        ]
+        zetas = [0.0, ZETA_MAX, *rng.uniform(0.0, ZETA_MAX, 500).tolist()]
+        kernels += [qutrit_kernel(z) for z in zetas]
+        for k in kernels:
+            vertices = [v.values for v in positivity_polytope(k).vertices]
+            assert len(set(vertices)) == len(vertices), k.values
+
     def test_new_vertices_sit_on_the_cut(self):
         rng = np.random.default_rng(34)
         for n in range(2, 9):
@@ -183,6 +202,11 @@ class TestAbsoluteRadius:
                 assert absolute_radius(n, convention.value) == expected
         with pytest.raises(ValueError):
             absolute_radius(3, "bogus")
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_rejects_dimension_below_two(self, n):
+        with pytest.raises(DimensionMismatch):
+            absolute_radius(n, MetricConvention.PAPER)
 
 
 class TestTangentSpectrum:

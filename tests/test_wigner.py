@@ -296,3 +296,8 @@ class TestSampledMin:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             sampled_min(np.eye(3) / 3, qutrit_kernel(0.1), 0, 0)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 2), (3,)])
+    def test_rejects_state_of_another_shape(self, shape):
+        with pytest.raises(DimensionMismatch):
+            sampled_min(np.ones(shape) / shape[0], qutrit_kernel(0.1), 10, 0)

@@ -20,6 +20,11 @@ It prints the ratio of the head's summed time to the base's, overall, for
 the cold pass 1 and its range over the warm passes, and the p50 and p99
 per-call time of each tree at each n over the warm passes. Run it under
 `taskset -c CPU` to pin it to one CPU. Only the stdlib and numpy are used.
+
+The ratios carry a bias of their own. Against a copy of its own tree
+(A/A), pinned to one CPU, it printed a cold pass ratio of 0.925-0.927 and
+warm pass ratios of 0.95-1.005. Judge a ratio against that spread: a
+cold ratio a few per cent from 1 does not resolve a change.
 """
 
 from __future__ import annotations

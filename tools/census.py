@@ -227,11 +227,11 @@ def family_cli_short(quick: bool):
 
 def _run_sample_min(argv: list[str]) -> list:
     """`_run_cli`'s record of one `nc sample-min`, and the minimum over its
-    Haar draws alone, leaving out the two fixed candidates, as `float.hex`
+    Haar draws alone, leaving out the eigenbasis candidate, as `float.hex`
     (None when no block ran). The tree's own sampler computes it: every
     block of draws, on either path, passes its values through
-    `wigner._real`, which is watched during the run; the candidates pass
-    single values."""
+    `wigner._real`, which is watched during the run; the candidate passes
+    a single value."""
     from ncdist import wigner
 
     real, draws = wigner._real, []
