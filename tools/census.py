@@ -7,7 +7,9 @@ The base is a git revision, extracted with `git archive` into a temporary
 directory, or a directory that holds a source tree (its `src/`). The head
 is the tree this file lives in. Each tree runs every family in one child
 process with PYTHONPATH set to its `src`, so both sides run the same
-cases, generated by this file. A case records:
+cases, generated by this file. The two children run at the same time,
+each with one BLAS thread (the variables `perfbench/common.py` pins),
+unless the caller's environment sets a thread count. A case records:
 
 - `scan`: the exit code, stdout, stderr and output file SHA-256 of one
   `nc scan`;
@@ -46,6 +48,7 @@ import math
 import operator
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tarfile
@@ -413,6 +416,14 @@ def _source(base: str, tmp: Path) -> Path:
     return tmp / "base" / "src"
 
 
+def _thread_vars() -> tuple[str, ...]:
+    """The BLAS and OpenMP thread-count variables the benchmark pins, from
+    `perfbench/common.py`. The two children run at once, so on a small
+    host their BLAS threads would contend; each child gets one thread
+    unless the caller's environment sets its own count."""
+    return runpy.run_path(str(ROOT / "perfbench" / "common.py"))["THREAD_VARS"]
+
+
 def compare(base_out: Path, head_out: Path) -> dict[str, dict]:
     """Per family: the case count, the number of differing cases and the
     first EXAMPLES of them, reading both trees' case lines in step."""
@@ -444,12 +455,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
         trees = {"base": _source(args.base, tmp), "head": ROOT / "src"}
-        procs = {}
+        procs, threads = {}, dict.fromkeys(_thread_vars(), "1")
         for side, src in trees.items():
             if not (src / "ncdist").is_dir():
                 _fail(f"no ncdist package under {src}")
             cmd = [sys.executable, __file__, "--child", str(src), str(tmp / f"{side}.jsonl")]
-            env = {**os.environ, "PYTHONPATH": str(src)}
+            env = {**threads, **os.environ, "PYTHONPATH": str(src)}
             procs[side] = subprocess.Popen(
                 cmd + ["--quick"] * args.quick, env=env, stderr=subprocess.PIPE, text=True
             )
