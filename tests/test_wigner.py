@@ -301,3 +301,41 @@ class TestSampledMin:
     def test_rejects_state_of_another_shape(self, shape):
         with pytest.raises(DimensionMismatch):
             sampled_min(np.ones(shape) / shape[0], qutrit_kernel(0.1), 10, 0)
+
+
+def drawn_values(monkeypatch, rho, kernel, samples, seed):
+    """sampled_min's value at every draw, in draw order: the real parts of
+    what each `_block_values` call returns, whatever its arguments."""
+    exact, blocks = wigner._block_values, []
+
+    def watched(*args):
+        vals = exact(*args)
+        blocks.append(vals.real.copy())
+        return vals
+
+    monkeypatch.setattr(wigner, "_block_values", watched)
+    sampled_min(rho, kernel, samples, seed)
+    monkeypatch.setattr(wigner, "_block_values", exact)
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_draws_have_haar_moments(n, monkeypatch):
+    """The draws sample the Haar measure. With t1 = tr rho, t2 = tr rho^2,
+    s1 = sum pi and s2 = sum pi^2, the second-order Weingarten formula
+    gives E[W] = t1 s1 / n and
+    E[W^2] = (t1^2 s1^2 + t2 s2) / (n^2 - 1) - (t1^2 s2 + t2 s1^2) / (n (n^2 - 1)).
+    Over 1e5 draws the sample mean and second moment match both within
+    five standard errors."""
+    rng = np.random.default_rng(30 + n)
+    rho = random_density_matrix(rng, n)
+    k = random_kernel(n, 40 + n)
+    w = drawn_values(monkeypatch, rho, k, 100_000, 50 + n)
+    assert len(w) == 100_000
+    pi = k.as_array()
+    t1, t2 = np.trace(rho).real, np.trace(rho @ rho).real
+    s1, s2 = pi.sum(), pi @ pi
+    mean = t1 * s1 / n
+    second = (t1**2 * s1**2 + t2 * s2) / (n * n - 1) - (t1**2 * s2 + t2 * s1**2) / (n * (n * n - 1))
+    for got, want, sd in ((w.mean(), mean, w.std()), ((w * w).mean(), second, (w * w).std())):
+        assert abs(got - want) <= 5 * sd / math.sqrt(len(w)), (n, got, want)
