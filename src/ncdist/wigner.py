@@ -1,13 +1,14 @@
 """Wigner-function values, the phase-space floor in closed form, the
 classicality predicate and a Monte-Carlo sampling oracle for the floor.
 
-The oracle draws its Haar unitaries in blocks of `_BLOCK`, each from one
-Gaussian call, and evaluates every block with one function,
-`_block_values`, in arrays allocated once per block length per call. Only
-the orthonormalizer is chosen by n: Gram-Schmidt on the whole block up to
-`_GS_MAX_N`, numpy's stacked QR above. A value depends on each column only
-through q_k q_k^H, so phases do not matter, and the last column's term
-follows from the trace: for a unitary, sum_k q_k^H rho q_k = tr rho."""
+The oracle draws Haar unitaries by the subgroup algorithm of Stewart
+(1980) and Mezzadri (2007), U = H_0 diag(1, H_1) diag(1, 1, H_2) ..., with
+H_k the Householder reflector taking e_1 to a normalized complex Gaussian
+vector of length n - k up to phase: n(n+1)/2 - 1 normals per draw, not
+QR's n^2. A value needs each column u_k only through u_k^H rho u_k =
+sum_j d_j |(u_k^H e)_j|^2, where e diag(d) e^H is rho's Hermitian part, so
+`_block_values` never forms U: it reflects the rows of e, a whole block of
+draws at a time."""
 
 from __future__ import annotations
 
@@ -24,27 +25,8 @@ CLASSICAL_TOL = 1e-12
 
 _IMAG_TOL = 1e-10
 #: Haar draws per Gaussian call, and the draws each numpy call of a block
-#: serves. Gram-Schmidt's per-column arrays hold n x _BLOCK entries. Per
-#: sample on one CPU, best of four rounds, blocks of 256, 512, 1024 and
-#: 2048 took 0.57, 0.49, 0.45 and 0.45 us at n = 3 and 4.9, 4.4, 4.7 and
-#: 5.0 us at n = 8; in a whole n = 8 command 512 was faster in 8 of 16 runs
+#: serves. Each work row holds n x _BLOCK entries. BLOCK_FIGURES
 _BLOCK = 1024
-#: largest n whose blocks are orthonormalized by Gram-Schmidt rather than
-#: QR. LAPACK's per-call overhead dominates small matrices, while
-#: Gram-Schmidt makes O(n^2) numpy calls of n x _BLOCK entries. Per block,
-#: draws excluded, on one CPU, Gram-Schmidt took 0.12, 0.37, 0.52-0.60,
-#: 0.77-0.86, 0.95-0.97 and 1.00-1.03 times QR's time at n = 3, 8, 12, 16,
-#: 17 and 18 (medians of 10 to 20 alternating runs), 1.6 times at n = 24
-_GS_MAX_N = 17
-
-
-def _real(vals):
-    """Real part of numpy Wigner values, after checking that their
-    imaginary residue is below _IMAG_TOL; a NaN residue fails the check."""
-    imag = float(abs(vals.imag).max())
-    if not imag < _IMAG_TOL:
-        raise NonHermitian(f"trace has imaginary residue {imag:.3e}")
-    return vals.real
 
 
 def _haar(z):
@@ -58,70 +40,80 @@ def _haar(z):
 
 
 def _block_work(n, count):
-    """The work arrays of `_block_values` for blocks of `count` draws of
-    n x n matrices. `sampled_min` makes one set for its full blocks and one
+    """The work arrays of `_block_values` for blocks of `count` draws at
+    dimension n. `sampled_min` makes one set for its full blocks and one
     for a short last block, rather than slicing the longer set: rounding
-    can depend on where a value falls in a vectorized loop. QR, above
-    `_GS_MAX_N`, has no `qc`: it conjugates `q` in place."""
+    can depend on where a value falls in a vectorized loop."""
     import numpy as np
 
-    cols = n - 1
     return (
-        np.empty((cols, n, count), complex),  # q
-        np.empty((cols, n, count), complex) if n <= _GS_MAX_N else None,  # qc
+        np.empty((n, n, count), complex),  # rows
+        np.empty((n, count), complex),  # x
+        np.empty((n, count), complex),  # xc
+        np.empty((n, count), complex),  # y
         np.empty((n, count), complex),  # tmp
-        np.empty((cols, count), complex),  # coef
-        np.empty((2, n, count)),  # sq
+        np.empty((n, 2 * count)),  # sq
+        np.empty(2 * count),  # sums
         np.empty(count),  # norm
-        np.empty((cols, n, count), complex),  # rq
-        np.empty((cols, count), complex),  # w
-        np.empty(count, complex),  # vals
+        np.empty(count),  # lead
+        np.empty(count, complex),  # phase
+        np.empty((n, count)),  # a
     )
 
 
-def _block_values(z, rho, pi, work):
-    """Complex Wigner values sum_k pi_k q_k^H rho q_k of the Haar unitaries
-    `_haar(z)` of a Gaussian stack z of shape (count, n, n), in the arrays
-    `work` made by `_block_work(n, count)`; the result is one of them,
-    overwritten by the next call.
+def _block_values(g, d, e, pi, work):
+    """Wigner values sum_k pi_k u_k^H rho u_k of a block of Haar draws U,
+    for rho's Hermitian part e diag(d) e^H, in the arrays `work` made by
+    `_block_work(n, count)`.
 
-    One evaluator, two orthonormalizers of the first n - 1 columns: CGS2
-    (classical Gram-Schmidt run twice, for orthogonality to rounding) up to
-    `_GS_MAX_N`, numpy's stacked QR above. Each gives `_haar(z)`'s q_k up
-    to a phase, which cancels in q_k^H rho q_k, so neither folds R's phases
-    back. The last column is never used: for a unitary, sum_k q_k^H rho q_k
-    is tr rho, so its term is pi_{n-1} (tr rho - sum_{k<n-1} q_k^H rho q_k).
+    g, of shape (count, n(n+1)/2 - 1, 2), holds each draw's complex normals:
+    n for the first reflector, n - 1 for the next, down to 2. `rows` starts
+    as e. At step k the next n - k normals, normalized and turned by a
+    phase so that the first is real and non-negative (phase 1 when it is
+    0), give x; then u_k^H rho u_k = sum_j d_j |(x^H rows)_j|^2, and rows
+    1.. of H rows, H = I - w w^H / (1 + x_0) with w = e_1 + x, are the next
+    step's rows. The one row left gives the last column's term. Every
+    operation runs on contiguous (n, count) rows; the values are real.
     """
     import numpy as np
 
-    q, qc, tmp, coef, sq, norm, rq, w, vals = work
-    # q[k, i, b]: entry i of column k of draw b
-    if qc is None:
-        np.copyto(q, np.linalg.qr(z)[0][..., :-1].transpose(2, 1, 0))
-    else:
-        np.copyto(q, z[..., :-1].transpose(2, 1, 0))
-        for k in range(len(q)):
-            v = q[k]
-            for _ in range(2):
-                for j in range(k):
-                    np.multiply(qc[j], v, out=tmp)
-                    tmp.sum(axis=0, out=coef[j])
-                for j in range(k):
-                    np.multiply(q[j], coef[j], out=tmp)
-                    v -= tmp
-            np.square(v.real, out=sq[0])
-            np.square(v.imag, out=sq[1])
-            np.add(sq[0], sq[1], out=sq[0])
-            np.sqrt(sq[0].sum(axis=0, out=norm), out=norm)
-            v /= norm
-            np.conjugate(v, out=qc[k])
-    np.matmul(rho, q, out=rq)
-    if qc is None:
-        qc = np.conjugate(q, out=q)
-    np.multiply(rq, qc, out=rq)
-    np.matmul(pi[:-1] - pi[-1], rq.sum(axis=1, out=w), out=vals)
-    vals += pi[-1] * np.trace(rho)
-    return vals
+    rows, x, xc, y, tmp, sq, sums, norm, lead, phase, a = work
+    n = len(d)
+
+    def weigh(v, out):
+        """out = sum_j d_j |v_j|^2 for v of shape (n, count)."""
+        np.square(v.view(float), out=sq)
+        np.matmul(d, sq, out=sums)
+        np.add(sums[0::2], sums[1::2], out=out)
+
+    np.copyto(rows, e[:, :, None])
+    steps = np.split(g.view(complex)[..., 0], np.cumsum(range(n, 2, -1)), axis=1)
+    for k, z in enumerate(steps):
+        r = n - k
+        c, xk, xck = rows[k:], x[:r], xc[:r]
+        np.copyto(xk, z.T)
+        np.square(xk.view(float), out=sq[:r])
+        np.sum(sq[:r], axis=0, out=sums)
+        np.sqrt(np.add(sums[0::2], sums[1::2], out=norm), out=norm)
+        np.abs(xk[0], out=lead)
+        phase.fill(1.0)
+        np.divide(xk[0].conj(), lead, out=phase, where=lead > 0.0)
+        phase /= norm
+        xk *= phase
+        np.conjugate(xk, out=xck)
+        np.multiply(c[0], xck[0], out=y)
+        for i in range(1, r):
+            np.multiply(c[i], xck[i], out=tmp)
+            y += tmp
+        weigh(y, a[k])
+        # y becomes (w^H c) / (1 + x_0), and c[i] -= x_i y for i >= 1
+        y += c[0]
+        y /= np.add(xk[0].real, 1.0, out=lead)
+        for i in range(1, r):
+            np.multiply(y, xk[i], out=tmp)
+            c[i] -= tmp
+    weigh(rows[n - 1], a[n - 1])
+    return pi @ a
 
 
 def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
@@ -137,7 +129,11 @@ def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
             f"state {rho_arr.shape}, unitary {u_arr.shape} and kernel n={n} disagree"
         )
     delta = (u_arr * kernel.as_array()) @ u_arr.conj().T
-    return float(_real(np.trace(rho_arr @ delta)))
+    val = np.trace(rho_arr @ delta)
+    # a NaN residue fails this test too
+    if not abs(val.imag) < _IMAG_TOL:
+        raise NonHermitian(f"trace has imaginary residue {abs(val.imag):.3e}")
+    return float(val.real)
 
 
 def wigner_floor(r: Spectrum, kernel: KernelSpectrum) -> float:
@@ -182,14 +178,13 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
 
     The eigenbasis unitary realizes the opposite-order pairing, which no
     unitary undercuts, so the analytic floor is reached regardless of the
-    sample budget. Deterministic per seed;
-    each block of `_BLOCK` Haar draws comes from one Gaussian call, so the
-    draws do not depend on the block size, though the values can move by
-    rounding with it. Every block is evaluated by `_block_values`, whose
-    two orthonormalizers, Gram-Schmidt up to `_GS_MAX_N` and QR above,
-    agree to rounding on the same draws. Its work arrays and the Gaussian
-    buffer are allocated once for the full blocks and once for a short
-    last block; only QR's own temporaries are allocated per block.
+    sample budget. Deterministic per seed. The state must be Hermitian
+    within _IMAG_TOL elementwise; a NaN fails that test. Each block of
+    `_BLOCK` draws takes its normals from one Gaussian call, so the draws
+    do not depend on the block size, though the values can move by rounding
+    with it. `_block_values` evaluates every block from the eigenbasis of
+    rho's Hermitian part, in arrays allocated once for the full blocks and
+    once for a short last block.
     """
     import numpy as np
 
@@ -199,12 +194,15 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     n = kernel.n
     if rho_arr.shape != (n, n):
         raise DimensionMismatch(f"state {rho_arr.shape} vs kernel n={n}")
+    defect = float(np.abs(rho_arr - rho_arr.conj().T).max())
+    if not defect < _IMAG_TOL:
+        raise NonHermitian(f"state deviates from Hermitian by {defect:.3e}")
     pi = kernel.as_array()
 
     # eigh orders eigenvalues increasingly, which pairs them against the
     # decreasing kernel values: exactly the analytic optimum
-    _, vecs = np.linalg.eigh((rho_arr + rho_arr.conj().T) / 2.0)
-    best = wigner_value(rho_arr, vecs, kernel)
+    d, e = np.linalg.eigh((rho_arr + rho_arr.conj().T) / 2.0)
+    best = wigner_value(rho_arr, e, kernel)
 
     rng = np.random.Generator(np.random.Philox(seed))
     gauss = work = None
@@ -214,9 +212,8 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
             # the first block, or a short last one: the full blocks' arrays
             # are freed before the short block's are made
             gauss = work = None
-            gauss = np.empty((count, n, n, 2))
+            gauss = np.empty((count, n * (n + 1) // 2 - 1, 2))
             work = _block_work(n, count)
         rng.standard_normal(out=gauss)
-        vals = _block_values(gauss.view(complex)[..., 0], rho_arr, pi, work)
-        best = min(best, float(np.min(_real(vals))))
+        best = min(best, float(_block_values(gauss, d, e, pi, work).min()))
     return best

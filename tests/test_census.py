@@ -117,15 +117,15 @@ def test_one_ulp_sampler_change_is_reported(tmp_path):
     """A base whose block evaluator returns every sampled Wigner value one
     float up: the printed `sample-min` output does not change, since the
     eigenbasis candidate beats every draw, but the record of the minimum
-    over the draws alone does, in every case that draws, on either
-    orthonormalizer; the other families do not change."""
+    over the draws alone does, in every case that draws; the other
+    families do not change."""
     base = mutated(
         tmp_path,
         "wigner.py",
         "\n\n_exact = _block_values\n\n\n"
-        + "def _block_values(z, rho, pi, work):\n"
+        + "def _block_values(g, d, e, pi, work):\n"
         + "    import numpy as np\n\n"
-        + "    vals = _exact(z, rho, pi, work)\n"
+        + "    vals = _exact(g, d, e, pi, work)\n"
         + "    vals.real = np.nextafter(vals.real, np.inf)\n"
         + "    return vals\n",
     )

@@ -22,13 +22,13 @@ from ncdist import (
     wigner_value,
 )
 from ncdist import wigner
-from ncdist.wigner import _BLOCK, _GS_MAX_N, _block_values, _block_work, _haar
+from ncdist.wigner import _BLOCK, _block_values, _block_work, _haar
 
 ZETA_MAX = math.pi / 3.0
 #: sample counts on both sides of the sampler's block boundaries
 BLOCK_EDGES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
-#: dimensions on both sides of the switch between the two block paths
-SWITCH_EDGES = (_GS_MAX_N, _GS_MAX_N + 1)
+#: large dimensions, where the sampler's work arrays are largest
+LARGE_N = (17, 18)
 
 
 def dense_pairing(rho, u, pi):
@@ -99,79 +99,126 @@ def test_haar_stack_matches_single_matrices(n):
         assert stack[i].tobytes() == _haar(z[i]).tobytes()
 
 
-class TestGramSchmidtBlocks:
-    """sampled_min's one block evaluator, which computes the Wigner values
-    from the Gaussian stack without forming the unitaries: by Gram-Schmidt
-    for n <= _GS_MAX_N and by QR above."""
+def drawn_values(monkeypatch, rho, kernel, samples, seed):
+    """sampled_min's value at every draw, in draw order: the real parts of
+    what each `_block_values` call returns, whatever its arguments."""
+    exact, blocks = wigner._block_values, []
 
-    def test_matches_haar_per_draw(self):
-        """Each value is the dense pairing of the unitary _haar makes of the
-        same draw, on both orthonormalizers. The bound is about twice the
-        worst of 46,000 draws at n = 2..24 against `_haar` and einsum,
-        1.02e-15 * max|pi|."""
+    def watched(*args):
+        vals = exact(*args)
+        blocks.append(vals.real.copy())
+        return vals
+
+    monkeypatch.setattr(wigner, "_block_values", watched)
+    sampled_min(rho, kernel, samples, seed)
+    monkeypatch.setattr(wigner, "_block_values", exact)
+    return np.concatenate(blocks)
+
+
+def householder_unitary(g, n):
+    """Test-side reference for one draw: the unitary H_0 diag(1, H_1) ...
+    that the draw's normals g, of shape (n(n+1)/2 - 1, 2), stand for, built
+    from dense n x n reflectors. Step k normalizes the next n - k complex
+    normals to x and turns x by a phase so that x_0 is real and
+    non-negative (no turn when x_0 = 0); H_k = I - w w^H / (1 + x_0) with
+    w = e_1 + x."""
+    z = g[:, 0] + 1j * g[:, 1]
+    u, start = np.eye(n, dtype=complex), 0
+    for k in range(n - 1):
+        x = z[start : start + n - k] / np.linalg.norm(z[start : start + n - k])
+        start += n - k
+        if x[0] != 0:
+            x = x * (abs(x[0]) / x[0])
+        w = x.copy()
+        w[0] += 1.0
+        h = np.eye(n, dtype=complex)
+        h[k:, k:] -= np.outer(w, w.conj()) / (1.0 + x[0].real)
+        u = u @ h
+    return u
+
+
+def block_args(rho):
+    """The eigen-decomposition of rho's Hermitian part, as sampled_min
+    passes it to `_block_values`."""
+    return np.linalg.eigh((rho + rho.conj().T) / 2.0)
+
+
+def normals(rng, count, n):
+    """One block's normals, in the shape `_block_values` reads."""
+    return rng.standard_normal((count, n * (n + 1) // 2 - 1, 2))
+
+
+class TestBlockValues:
+    """sampled_min's one block evaluator, which computes the Wigner values
+    from the normals by Householder reflections of rho's eigenbasis,
+    without forming the unitaries."""
+
+    def check_against_reference(self, g, rho, pi):
+        n = len(pi)
+        d, e = block_args(rho)
+        vals = _block_values(g, d, e, pi, _block_work(n, len(g)))
+        assert vals.shape == (len(g),) and np.isfinite(vals).all()
+        for b in range(len(g)):
+            u = householder_unitary(g[b], n)
+            assert np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-14, (n, b)
+            want = dense_pairing(rho, u, pi)
+            assert abs(vals[b] - want) <= 2e-15 * np.abs(pi).max(), (n, b)
+
+    def test_matches_reference_per_draw(self):
+        """Each value is the dense pairing of the unitary the test-side
+        reflectors build from the same normals. The bound is about twice
+        the worst of 2,300 draws at n = 2..24 against a long-double
+        reference, 9.1e-16 * max|pi|."""
         rng = np.random.default_rng(11)
         for n in range(2, 25):
             rho = random_density_matrix(rng, n)
             pi = random_kernel(n, int(rng.integers(0, 1 << 30))).as_array()
-            z = rng.standard_normal((6, n, n, 2)).view(complex)[..., 0]
-            vals = _block_values(z, rho, pi, _block_work(n, len(z)))
-            u = _haar(z)
-            for b in range(len(z)):
-                want = dense_pairing(rho, u[b], pi)
-                assert abs(vals[b].real - want) <= 2e-15 * np.abs(pi).max(), (n, b)
+            self.check_against_reference(normals(rng, 6, n), rho, pi)
 
-    def test_nearly_dependent_columns_stay_orthonormal(self):
-        """Column 0 of each draw is a multiple of psi and column 1 lies
-        1e-9 from it, so with rho = psi psi^H and pi = (1, 1, 0, ..., 0)
-        the value is 1 + |q_0^H q_1|^2: it is 1 only if the two columns
-        are orthogonal. One Gram-Schmidt pass leaves |W - 1| up to 1.7e-11
-        over 102,400 draws, two do not. The bound is about twice the worst
-        of 1.0 million draws at n = 3..12, 1.1e-15. pi_{n-1} = 0, so the
-        trace identity that stands in for the last column does not hide
-        the check."""
+    def test_zero_leading_entry(self):
+        """A reflector whose first normal is exactly 0 + 0i takes phase 1:
+        the values stay finite and match the reference, at every step."""
         rng = np.random.default_rng(12)
-        for n in range(3, _GS_MAX_N + 1):
-            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            psi /= np.linalg.norm(psi)
-            z = rng.standard_normal((32, n, n, 2)).view(complex)[..., 0]
-            scale = rng.standard_normal((32, 2)).view(complex)
-            noise = rng.standard_normal((32, n, 2)).view(complex)[..., 0]
-            z[:, :, 0] = scale * psi
-            z[:, :, 1] = z[:, :, 0] + 1e-9 * noise
-            pi = np.zeros(n)
-            pi[:2] = 1.0
-            rho = np.outer(psi, psi.conj())
-            vals = _block_values(z, rho, pi, _block_work(n, len(z)))
-            assert np.abs(vals - 1.0).max() <= 2e-15, n
+        for n in (2, 3, 5, 8):
+            g = normals(rng, 4 * (n - 1), n)
+            starts = np.cumsum([0, *range(n, 2, -1)])
+            for b in range(len(g)):
+                g[b, starts[b % (n - 1)]] = 0.0
+            rho = random_density_matrix(rng, n)
+            pi = random_kernel(n, int(rng.integers(0, 1 << 30))).as_array()
+            self.check_against_reference(g, rho, pi)
 
     def test_reused_buffers_match_fresh_ones(self, monkeypatch):
         """sampled_min allocates its arrays once per block length and
         reuses them: each block's values, over three full blocks and a
-        short last one, on both sides of the switch, are byte for byte
-        those of the block's draws computed on fresh arrays of its own
-        length."""
-        real, blocks = wigner._real, []
-
-        def watched(vals):
-            if vals.ndim:
-                blocks.append(vals.real.tobytes())
-            return real(vals)
-
-        monkeypatch.setattr(wigner, "_real", watched)
+        short last one, are byte for byte those of the block's draws
+        computed on fresh arrays of its own length."""
         rng = np.random.default_rng(14)
         samples = 3 * _BLOCK + 100
-        for n in (*range(2, _GS_MAX_N), *SWITCH_EDGES):
+        for n in (*range(2, 17), *LARGE_N):
             rho = random_density_matrix(rng, n)
             k = random_kernel(n, int(rng.integers(0, 1 << 30)))
-            blocks.clear()
-            sampled_min(rho, k, samples, n)
+            got = drawn_values(monkeypatch, rho, k, samples, n)
             draws = np.random.Generator(np.random.Philox(n))
-            counts = [_BLOCK] * 3 + [100]
-            assert len(blocks) == len(counts), n
-            for got, count in zip(blocks, counts):
-                z = draws.standard_normal((count, n, n, 2)).view(complex)[..., 0]
-                vals = _block_values(z, rho, k.as_array(), _block_work(n, count))
-                assert got == vals.real.tobytes(), (n, count)
+            d, e = block_args(rho)
+            want = []
+            for count in [_BLOCK] * 3 + [100]:
+                g = normals(draws, count, n)
+                want.append(_block_values(g, d, e, k.as_array(), _block_work(n, count)))
+            assert got.tobytes() == np.concatenate(want).tobytes(), n
+
+    def test_draws_do_not_depend_on_block_size(self, monkeypatch):
+        """Halving `_BLOCK` splits each Gaussian call in two, but the draws
+        and so the values are the same, within rounding."""
+        rng = np.random.default_rng(15)
+        for n in (2, 3, 8, 17):
+            rho = random_density_matrix(rng, n)
+            k = random_kernel(n, int(rng.integers(0, 1 << 30)))
+            whole = drawn_values(monkeypatch, rho, k, 2 * _BLOCK + 7, n)
+            monkeypatch.setattr(wigner, "_BLOCK", _BLOCK // 2)
+            halves = drawn_values(monkeypatch, rho, k, 2 * _BLOCK + 7, n)
+            monkeypatch.setattr(wigner, "_BLOCK", _BLOCK)
+            assert np.abs(whole - halves).max() <= 2e-15 * np.abs(k.as_array()).max(), n
 
 
 class TestWignerFloor:
@@ -277,7 +324,7 @@ class TestSampledMin:
                 k = random_kernel(n, int(rng.integers(0, 1 << 30)))
                 floor = wigner_floor(spectrum_from_matrix(rho), k)
                 assert sampled_min(rho, k, samples, 3) >= floor - 1e-9, samples
-            for n in SWITCH_EDGES:
+            for n in LARGE_N:
                 rho = random_density_matrix(switch, n)
                 k = random_kernel(n, int(switch.integers(0, 1 << 30)))
                 floor = wigner_floor(spectrum_from_matrix(rho), k)
@@ -286,7 +333,7 @@ class TestSampledMin:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(10)
         cases = [(random_density_matrix(rng, 3), qutrit_kernel(0.9))]
-        cases += [(random_density_matrix(rng, n), random_kernel(n, n)) for n in SWITCH_EDGES]
+        cases += [(random_density_matrix(rng, n), random_kernel(n, n)) for n in LARGE_N]
         for samples in BLOCK_EDGES:
             for rho, k in cases:
                 assert sampled_min(rho, k, samples, 7) == sampled_min(rho, k, samples, 7), (
@@ -302,21 +349,20 @@ class TestSampledMin:
         with pytest.raises(DimensionMismatch):
             sampled_min(np.ones(shape) / shape[0], qutrit_kernel(0.1), 10, 0)
 
+    @pytest.mark.parametrize("defect", [1e-9, 1.0, math.nan])
+    def test_rejects_non_hermitian_state(self, defect):
+        """The state itself must be Hermitian within _IMAG_TOL; a NaN
+        entry fails the test too."""
+        rho = np.eye(3, dtype=complex) / 3
+        rho[0, 1] += defect
+        with pytest.raises(NonHermitian):
+            sampled_min(rho, qutrit_kernel(0.1), 10, 0)
 
-def drawn_values(monkeypatch, rho, kernel, samples, seed):
-    """sampled_min's value at every draw, in draw order: the real parts of
-    what each `_block_values` call returns, whatever its arguments."""
-    exact, blocks = wigner._block_values, []
-
-    def watched(*args):
-        vals = exact(*args)
-        blocks.append(vals.real.copy())
-        return vals
-
-    monkeypatch.setattr(wigner, "_block_values", watched)
-    sampled_min(rho, kernel, samples, seed)
-    monkeypatch.setattr(wigner, "_block_values", exact)
-    return np.concatenate(blocks)
+    def test_admits_rounding_asymmetry(self):
+        """An asymmetry well inside _IMAG_TOL is rounding, not a defect."""
+        rho = np.eye(3, dtype=complex) / 3
+        rho[0, 1] += 1e-12
+        assert sampled_min(rho, qutrit_kernel(0.1), 10, 0) == pytest.approx(1 / 3, abs=1e-11)
 
 
 @pytest.mark.parametrize("n", [3, 8])

@@ -24,11 +24,10 @@ unless the caller's environment sets a thread count. A case records:
   state of each kernel builds the projector's record of the kernel (the
   cold path) and the later ones reuse it (the warm path);
 - `sample-min`: the exit code, stdout and stderr of one `nc sample-min`
-  of 1500 samples at n = 2, 3, 8, 16 or 24, so both of the sampler's
-  orthonormalizers run and the last block is partial, and the minimum
-  over the Haar draws alone by `float.hex`. The printed minimum is the
-  eigenbasis candidate's in every case, so only that record checks the
-  draws' arithmetic.
+  of 1500 samples at n = 2, 3, 8, 16 or 24, so the last block is partial,
+  and the minimum over the Haar draws alone by `float.hex`. The printed
+  minimum is the eigenbasis candidate's in every case, so only that
+  record checks the draws' arithmetic.
 
 It prints one JSON summary per family: the number of cases, the number
 that differ and the first few differing cases with both records. The exit
@@ -232,32 +231,29 @@ def _run_sample_min(argv: list[str]) -> list:
     """`_run_cli`'s record of one `nc sample-min`, and the minimum over its
     Haar draws alone, leaving out the eigenbasis candidate, as `float.hex`
     (None when no block ran). The tree's own sampler computes it: every
-    block of draws, on either path, passes its values through
-    `wigner._real`, which is watched during the run; the candidate passes
-    a single value."""
+    block of draws is evaluated by `wigner._block_values`, which is watched
+    during the run; the real part of what it returns is the block's values,
+    whatever its arguments."""
     from ncdist import wigner
 
-    real, draws = wigner._real, []
+    exact, draws = wigner._block_values, []
 
-    def watched(vals):
-        out = real(vals)
-        if out.ndim:
-            draws.append(float(out.min()))
-        return out
+    def watched(*args):
+        vals = exact(*args)
+        draws.append(float(vals.real.min()))
+        return vals
 
-    wigner._real = watched
+    wigner._block_values = watched
     try:
         record = _run_cli(argv)
     finally:
-        wigner._real = real
+        wigner._block_values = exact
     return [*record, min(draws).hex() if draws else None]
 
 
 def family_sample_min(quick: bool):
-    """`nc sample-min` at n = 2, 3, 8, 16 and 24, so both of the sampler's
-    orthonormalizers run (24 is above its Gram-Schmidt limit), on spectrum
-    and matrix payloads, with `--pi` kernels (and `--zeta` at n = 3) and
-    fixed seeds.
+    """`nc sample-min` at n = 2, 3, 8, 16 and 24, on spectrum and matrix
+    payloads, with `--pi` kernels (and `--zeta` at n = 3) and fixed seeds.
     1500 samples make a full block and a partial last one. Then the
     rejected inputs. Each record holds the minimum over the draws alone
     (:func:`_run_sample_min`)."""
