@@ -25,7 +25,10 @@ CLASSICAL_TOL = 1e-12
 
 _IMAG_TOL = 1e-10
 #: Haar draws per Gaussian call, and the draws each numpy call of a block
-#: serves. Each work row holds n x _BLOCK entries. BLOCK_FIGURES
+#: serves; a work row holds n x _BLOCK entries. Per sample on one CPU,
+#: medians of 8 alternating runs, blocks of 512, 1024 and 2048 took 0.70,
+#: 0.57 and 0.54 us at n = 3, 3.7, 3.6 and 4.0 us at n = 8, and 55, 56 and
+#: 65 us at n = 24
 _BLOCK = 1024
 
 
@@ -72,9 +75,9 @@ def _block_values(g, d, e, pi, work):
     phase so that the first is real and non-negative (phase 1 when it is
     0), give x; then u_k^H rho u_k = sum_j d_j |(x^H rows)_j|^2, and rows
     1.. of H rows, H = I - w w^H / (1 + x_0) with w = e_1 + x, are the next
-    step's rows. The one row left gives the last column's term. Every
-    operation runs on contiguous (n, count) rows; the values are real.
-    """
+    step's rows. The one row left gives the last column's term. Past the
+    copy of each step's normals, every operation runs on contiguous rows of
+    `count` entries, and the values are real."""
     import numpy as np
 
     rows, x, xc, y, tmp, sq, sums, norm, lead, phase, a = work

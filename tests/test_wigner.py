@@ -90,8 +90,8 @@ class TestWignerValue:
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_haar_stack_matches_single_matrices(n):
     """A block of Haar unitaries is, bit for bit, the unitaries of its
-    matrices taken one at a time, so `_haar` on a whole block, the block
-    tests' reference, draws what haar_unitary draws one at a time."""
+    matrices taken one at a time, so `_haar` on a whole block draws what
+    haar_unitary draws one at a time."""
     rng = np.random.default_rng(n)
     z = rng.standard_normal((9, n, n, 2)).view(complex)[..., 0]
     stack = _haar(z)
