@@ -32,16 +32,6 @@ _IMAG_TOL = 1e-10
 _BLOCK = 1024
 
 
-def _haar(z):
-    """Haar unitaries from complex Gaussian matrices of shape (..., n, n):
-    QR, with the phases of each R diagonal folded back into its Q."""
-    import numpy as np
-
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
 def _block_work(n, count):
     """The work arrays of `_block_values` for blocks of `count` draws at
     dimension n. `sampled_min` makes one set for its full blocks and one
@@ -171,8 +161,13 @@ def is_classical(r: Spectrum, kernel: KernelSpectrum) -> bool:
 def haar_unitary(n: int, rng: Any) -> Any:
     """Haar-distributed n x n unitary, as a complex numpy array, drawn from
     the numpy Generator rng, which draws the real parts, then the
-    imaginary parts."""
-    return _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    imaginary parts: QR of the complex Gaussian matrix, with the phases of
+    R's diagonal folded back into Q."""
+    import numpy as np
+
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = r.diagonal()
+    return q * (d / np.abs(d))
 
 
 def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:

@@ -22,7 +22,7 @@ from ncdist import (
     wigner_value,
 )
 from ncdist import wigner
-from ncdist.wigner import _BLOCK, _block_values, _block_work, _haar
+from ncdist.wigner import _BLOCK, _block_values, _block_work
 
 ZETA_MAX = math.pi / 3.0
 #: sample counts on both sides of the sampler's block boundaries
@@ -87,16 +87,20 @@ class TestWignerValue:
             wigner_value(np.full((3, 3), math.nan), np.eye(3), qutrit_kernel(0.3))
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_haar_stack_matches_single_matrices(n):
-    """A block of Haar unitaries is, bit for bit, the unitaries of its
-    matrices taken one at a time, so `_haar` on a whole block draws what
-    haar_unitary draws one at a time."""
-    rng = np.random.default_rng(n)
-    z = rng.standard_normal((9, n, n, 2)).view(complex)[..., 0]
-    stack = _haar(z)
-    for i in range(len(z)):
-        assert stack[i].tobytes() == _haar(z[i]).tobytes()
+@pytest.mark.parametrize("n", range(2, 9))
+def test_haar_unitary_is_unitary_and_phase_folded(n):
+    """haar_unitary returns a unitary U, and U^H z, for the Gaussian matrix
+    z it drew, is upper triangular with a real, positive diagonal: the
+    phases of QR's R diagonal are folded into U, which makes U Haar."""
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(50):
+        u = haar_unitary(n, rng)
+        z = twin.standard_normal((n, n)) + 1j * twin.standard_normal((n, n))
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-14
+        r = u.conj().T @ z
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12
+        assert np.abs(r.diagonal().imag).max() <= 1e-12
+        assert (r.diagonal().real > 0.0).all()
 
 
 def drawn_values(monkeypatch, rho, kernel, samples, seed):
