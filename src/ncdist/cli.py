@@ -51,7 +51,7 @@ def _zeta_value(args) -> float | None:
 
 def _parse_pi(text: str) -> list[float]:
     parts = [p.strip() for p in text.replace("−", "-").split(",")]
-    if not parts or any(not p for p in parts):
+    if not all(parts):
         raise ValueError("--pi expects a comma-separated list of numbers")
     return [float(p) for p in parts]
 
