@@ -45,10 +45,9 @@ class Polytope(Frozen):
     """Wigner-positivity polytope by its vertices: the ordered simplex cut
     by the halfspace wigner_floor >= 0.
 
-    Vertices are stored in a deterministic order: by chart coordinates for
-    qutrits, lexicographically otherwise. Each coordinate is the exact cut
-    of the float kernel, correctly rounded, so it does not depend on the
-    BLAS build.
+    Vertices ascend by their values, or at n = 3 by (r1 - r2, -r3), the
+    order of their charts. Each coordinate is the exact cut of the float
+    kernel, correctly rounded, so it does not depend on the BLAS build.
     """
 
     __slots__ = ("n", "vertices")
@@ -101,7 +100,11 @@ def positivity_polytope(kernel: KernelSpectrum) -> Polytope:
     The cut on the edge v_k v_l (k < l) is (s_k - s_l) / den in entries
     1..k and s_k / den in entries k+1..l, with den = l s_k - k s_l != 0.
     So each coordinate is the exact cut, correctly rounded by one integer
-    division, with no numpy or BLAS.
+    division, with no numpy or BLAS. Each point is non-increasing, so it
+    is a Spectrum bit for bit, and the points are sorted once: by value, or
+    at n = 3 by (r1 - r2, -r3). Both chart coordinates are monotone in that
+    key under rounding, so the two orders differ only if two distinct
+    vertices' charts collide by rounding, which no measured kernel did.
     """
     n = kernel.n
     ratios = [x.as_integer_ratio() for x in (CLASSICAL_TOL, *reversed(kernel.values))]
@@ -119,12 +122,8 @@ def positivity_polytope(kernel: KernelSpectrum) -> Polytope:
                 head, tail = (sums[k] - sums[l]) / den, sums[k] / den
                 points.append((head,) * k + (tail,) * (l - k) + (0.0,) * (n - l))
 
-    vertices = [Spectrum(p) for p in points]
-    if n == 3:
-        vertices.sort(key=lambda v: ((c := chart_from_spectrum(v)).xi3, c.xi8))
-    else:
-        vertices.sort(key=lambda v: v.values)
-    return Polytope(n=n, vertices=tuple(vertices))
+    points.sort(key=(lambda p: (p[0] - p[1], -p[2])) if n == 3 else None)
+    return Polytope(n=n, vertices=tuple(map(Spectrum, points)))
 
 
 def absolute_radius(n: int, convention: MetricConvention | str) -> float:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ncdist.geometry
 from conftest import cut_points, random_chamber_chart
 from ncdist import (
     DimensionMismatch,
@@ -23,6 +24,7 @@ from ncdist import (
     tangent_spectrum,
     wigner_floor,
 )
+from ncdist.cli import _parse_pi
 from ncdist.geometry import _TIE_TOL, _chart_floor
 from ncdist.wigner import CLASSICAL_TOL
 
@@ -164,6 +166,51 @@ class TestPositivityPolytope:
         for k in kernels:
             vertices = [v.values for v in positivity_polytope(k).vertices]
             assert len(set(vertices)) == len(vertices), k.values
+
+    def test_qutrit_vertices_ascend_in_chart(self):
+        """The qutrit vertices are sorted by (r1 - r2, -r3), which must give
+        strictly ascending charts (xi3, xi8): qutrit kernels at and within
+        1e-13 of both ends and at seeded angles, seeded random kernels, and
+        kernels parsed from --pi text as the CLI parses them."""
+        rng = np.random.default_rng(37)
+        zetas = [0.0, 1e-13, ZETA_MAX - 1e-13, ZETA_MAX, *rng.uniform(0.0, ZETA_MAX, 500).tolist()]
+        kernels = [qutrit_kernel(z) for z in zetas]
+        kernels += [random_kernel(3, seed) for seed in range(200)]
+        texts = ["1,1,-1", "1,1,−1", "-1,1,1"]
+        for _ in range(200):
+            u = rng.standard_normal(3)
+            u -= u.mean()
+            u *= math.sqrt(3.0 - 1.0 / 3.0) / np.linalg.norm(u)
+            texts.append(",".join(repr(1.0 / 3.0 + float(x)) for x in u))
+        kernels += [kernel_from_spectrum(_parse_pi(t), 3) for t in texts]
+        for k in kernels:
+            charts = positivity_polytope(k).to_json_dict()["chart_vertices"]
+            assert all(a < b for a, b in zip(charts, charts[1:])), k.values
+
+    def test_vertices_ascend_by_value(self):
+        rng = np.random.default_rng(38)
+        for n in (2, *range(4, 65)):
+            for _ in range(10):
+                k = random_kernel(n, int(rng.integers(0, 1 << 30)))
+                vertices = [v.values for v in positivity_polytope(k).vertices]
+                assert all(a < b for a, b in zip(vertices, vertices[1:])), k.values
+
+    def test_qutrit_vertices_are_charted_once_for_output(self, monkeypatch):
+        """The sort needs no chart; the output charts each vertex once."""
+        calls = []
+        chart = ncdist.geometry.chart_from_spectrum
+
+        def counting(r):
+            calls.append(r)
+            return chart(r)
+
+        monkeypatch.setattr(ncdist.geometry, "chart_from_spectrum", counting)
+        for zeta in (0.0, 0.3, ZETA_MAX):
+            p = positivity_polytope(qutrit_kernel(zeta))
+            assert calls == []
+            p.to_json_dict()
+            assert calls == list(p.vertices)
+            calls.clear()
 
     def test_new_vertices_sit_on_the_cut(self):
         rng = np.random.default_rng(34)
