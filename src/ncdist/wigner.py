@@ -5,10 +5,11 @@ The oracle draws Haar unitaries by the subgroup algorithm of Stewart
 (1980) and Mezzadri (2007), U = H_0 diag(1, H_1) diag(1, 1, H_2) ..., with
 H_k the Householder reflector taking e_1 to a normalized complex Gaussian
 vector of length n - k up to phase: n(n+1)/2 - 1 normals per draw, not
-QR's n^2. A value needs each column u_k only through u_k^H rho u_k =
-sum_j d_j |(u_k^H e)_j|^2, where e diag(d) e^H is rho's Hermitian part, so
-`_block_values` never forms U: it reflects the rows of e, a whole block of
-draws at a time."""
+QR's n^2. A value needs each column u_k only through u_k^H rho u_k. With
+e diag(d) e^H rho's Hermitian part and V such a product, U = e V is Haar
+as V is, and u_k^H rho u_k = sum_j d_j |V_jk|^2. So `_block_values` builds
+the V of a whole block of draws at a time, from the identity, and reads
+rho only through its spectrum d."""
 
 from __future__ import annotations
 
@@ -25,10 +26,10 @@ CLASSICAL_TOL = 1e-12
 
 _IMAG_TOL = 1e-10
 #: Haar draws per Gaussian call, and the draws each numpy call of a block
-#: serves; a work row holds n x _BLOCK entries. Per sample on one CPU,
-#: medians of 8 alternating runs, blocks of 512, 1024 and 2048 took 0.70,
-#: 0.57 and 0.54 us at n = 3, 3.7, 3.6 and 4.0 us at n = 8, and 55, 56 and
-#: 65 us at n = 24
+#: serves; the block's V holds n x n x _BLOCK entries. Per sample on one
+#: CPU, medians of 8 alternating runs, blocks of 512, 1024 and 2048 took
+#: 0.43, 0.34 and 0.33 us at n = 3, 2.9, 2.7 and 2.5 us at n = 8, and 39,
+#: 37 and 39 us at n = 24; 2048 would double the work arrays
 _BLOCK = 1024
 
 
@@ -40,53 +41,49 @@ def _block_work(n, count):
     import numpy as np
 
     return (
-        np.empty((n, n, count), complex),  # rows
+        np.empty((n, n, count), complex),  # v
         np.empty((n, count), complex),  # x
         np.empty((n, count), complex),  # xc
-        np.empty((n, count), complex),  # y
+        np.empty((n, count), complex),  # s
         np.empty((n, count), complex),  # tmp
-        np.empty((n, 2 * count)),  # sq
         np.empty(2 * count),  # sums
         np.empty(count),  # norm
         np.empty(count),  # lead
         np.empty(count, complex),  # phase
-        np.empty((n, count)),  # a
     )
 
 
-def _block_values(g, d, e, pi, work):
-    """Wigner values sum_k pi_k u_k^H rho u_k of a block of Haar draws U,
-    for rho's Hermitian part e diag(d) e^H, in the arrays `work` made by
-    `_block_work(n, count)`.
+def _block_values(g, d, pi, work):
+    """Wigner values sum_jk d_j pi_k |V_jk|^2 of a block of Haar draws V,
+    for a state whose Hermitian part has the spectrum d, in the arrays
+    `work` made by `_block_work(n, count)`. They are the values of the
+    Haar draws e V for any eigenbasis e of that part.
 
     g, of shape (count, n(n+1)/2 - 1, 2), holds each draw's complex normals:
-    n for the first reflector, n - 1 for the next, down to 2. `rows` starts
-    as e. At step k the next n - k normals, normalized and turned by a
-    phase so that the first is real and non-negative (phase 1 when it is
-    0), give x; then u_k^H rho u_k = sum_j d_j |(x^H rows)_j|^2, and rows
-    1.. of H rows, H = I - w w^H / (1 + x_0) with w = e_1 + x, are the next
-    step's rows. The one row left gives the last column's term. Past the
-    copy of each step's normals, every operation runs on contiguous rows of
-    `count` entries, and the values are real."""
+    n for the first reflector, n - 1 for the next, down to 2. Step k takes
+    the next n - k normals, normalized and turned by a phase so that the
+    first is real and non-negative (phase 1 when it is 0), as x, and
+    H_k = I - w w^H / (1 + x_0) with w = e_1 + x. V = H_0 diag(1, H_1) ...
+    is built from the right, from the last step to the first: before step
+    k the trailing (n - k) x (n - k) block of `v` is diag(1, B), and
+    H_k diag(1, B) has first column -x; with t = x_{1..}^H B, the rest of
+    its first row is -t and the block below that row B - x_{1..} t /
+    (1 + x_0). Then `v` is squared in place. Past the copy of each step's
+    normals, every operation runs on contiguous rows of `count` entries,
+    and the values are real."""
     import numpy as np
 
-    rows, x, xc, y, tmp, sq, sums, norm, lead, phase, a = work
+    v, x, xc, s, tmp, sums, norm, lead, phase = work
     n = len(d)
-
-    def weigh(v, out):
-        """out = sum_j d_j |v_j|^2 for v of shape (n, count)."""
-        np.square(v.view(float), out=sq)
-        np.matmul(d, sq, out=sums)
-        np.add(sums[0::2], sums[1::2], out=out)
-
-    np.copyto(rows, e[:, :, None])
     steps = np.split(g.view(complex)[..., 0], np.cumsum(range(n, 2, -1)), axis=1)
-    for k, z in enumerate(steps):
+    v[n - 1, n - 1] = 1.0
+    for k in range(n - 2, -1, -1):
         r = n - k
-        c, xk, xck = rows[k:], x[:r], xc[:r]
-        np.copyto(xk, z.T)
-        np.square(xk.view(float), out=sq[:r])
-        np.sum(sq[:r], axis=0, out=sums)
+        c, xk, xck, sk, tk = v[k:, k:], x[:r], xc[:r], s[: r - 1], tmp[: r - 1]
+        np.copyto(xk, steps[k].T)
+        sq = tmp[:r].view(float)
+        np.square(xk.view(float), out=sq)
+        np.sum(sq, axis=0, out=sums)
         np.sqrt(np.add(sums[0::2], sums[1::2], out=norm), out=norm)
         np.abs(xk[0], out=lead)
         phase.fill(1.0)
@@ -94,19 +91,20 @@ def _block_values(g, d, e, pi, work):
         phase /= norm
         xk *= phase
         np.conjugate(xk, out=xck)
-        np.multiply(c[0], xck[0], out=y)
+        np.negative(xk, out=c[:, 0])
+        np.multiply(c[1, 1:], xck[1], out=sk)
+        for i in range(2, r):
+            np.multiply(c[i, 1:], xck[i], out=tk)
+            sk += tk
+        np.negative(sk, out=c[0, 1:])
+        sk /= np.add(xk[0].real, 1.0, out=lead)
         for i in range(1, r):
-            np.multiply(c[i], xck[i], out=tmp)
-            y += tmp
-        weigh(y, a[k])
-        # y becomes (w^H c) / (1 + x_0), and c[i] -= x_i y for i >= 1
-        y += c[0]
-        y /= np.add(xk[0].real, 1.0, out=lead)
-        for i in range(1, r):
-            np.multiply(y, xk[i], out=tmp)
-            c[i] -= tmp
-    weigh(rows[n - 1], a[n - 1])
-    return pi @ a
+            np.multiply(sk, xk[i], out=tk)
+            c[i, 1:] -= tk
+    sq = v.view(float)
+    np.square(sq, out=sq)
+    np.matmul(np.outer(d, pi).ravel(), sq.reshape(n * n, -1), out=sums)
+    return sums[0::2] + sums[1::2]
 
 
 def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
@@ -180,9 +178,11 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     within _IMAG_TOL elementwise; a NaN fails that test. Each block of
     `_BLOCK` draws takes its normals from one Gaussian call, so the draws
     do not depend on the block size, though the values can move by rounding
-    with it. `_block_values` evaluates every block from the eigenbasis of
-    rho's Hermitian part, in arrays allocated once for the full blocks and
-    once for a short last block.
+    with it. Each draw V stands for the unitary e V, with e the
+    eigenbasis of rho's Hermitian part, which is Haar as V is; so
+    `_block_values` evaluates every block from that part's spectrum alone,
+    in arrays allocated once for the full blocks and once for a short last
+    block.
     """
     import numpy as np
 
@@ -213,5 +213,5 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
             gauss = np.empty((count, n * (n + 1) // 2 - 1, 2))
             work = _block_work(n, count)
         rng.standard_normal(out=gauss)
-        best = min(best, float(_block_values(gauss, d, e, pi, work).min()))
+        best = min(best, float(_block_values(gauss, d, pi, work).min()))
     return best

@@ -123,9 +123,9 @@ def test_one_ulp_sampler_change_is_reported(tmp_path):
         tmp_path,
         "wigner.py",
         "\n\n_exact = _block_values\n\n\n"
-        + "def _block_values(g, d, e, pi, work):\n"
+        + "def _block_values(*args):\n"
         + "    import numpy as np\n\n"
-        + "    vals = _exact(g, d, e, pi, work)\n"
+        + "    vals = _exact(*args)\n"
         + "    vals.real = np.nextafter(vals.real, np.inf)\n"
         + "    return vals\n",
     )

@@ -120,12 +120,12 @@ def drawn_values(monkeypatch, rho, kernel, samples, seed):
 
 
 def householder_unitary(g, n):
-    """Test-side reference for one draw: the unitary H_0 diag(1, H_1) ...
-    that the draw's normals g, of shape (n(n+1)/2 - 1, 2), stand for, built
-    from dense n x n reflectors. Step k normalizes the next n - k complex
-    normals to x and turns x by a phase so that x_0 is real and
-    non-negative (no turn when x_0 = 0); H_k = I - w w^H / (1 + x_0) with
-    w = e_1 + x."""
+    """Test-side reference for one draw: the product V = H_0 diag(1, H_1)
+    ... of the draw's normals g, of shape (n(n+1)/2 - 1, 2), built from
+    dense n x n reflectors; the draw stands for e V. Step k normalizes
+    the next n - k complex normals to x and turns x by a phase so that x_0
+    is real and non-negative (no turn when x_0 = 0);
+    H_k = I - w w^H / (1 + x_0) with w = e_1 + x."""
     z = g[:, 0] + 1j * g[:, 1]
     u, start = np.eye(n, dtype=complex), 0
     for k in range(n - 1):
@@ -142,8 +142,9 @@ def householder_unitary(g, n):
 
 
 def block_args(rho):
-    """The eigen-decomposition of rho's Hermitian part, as sampled_min
-    passes it to `_block_values`."""
+    """The eigen-decomposition d, e of rho's Hermitian part, as sampled_min
+    makes it: d goes to `_block_values`, and each draw V stands for the
+    unitary e V."""
     return np.linalg.eigh((rho + rho.conj().T) / 2.0)
 
 
@@ -154,25 +155,26 @@ def normals(rng, count, n):
 
 class TestBlockValues:
     """sampled_min's one block evaluator, which computes the Wigner values
-    from the normals by Householder reflections of rho's eigenbasis,
-    without forming the unitaries."""
+    from the normals and rho's spectrum by building each draw's product of
+    Householder reflectors from the identity."""
 
     def check_against_reference(self, g, rho, pi):
         n = len(pi)
         d, e = block_args(rho)
-        vals = _block_values(g, d, e, pi, _block_work(n, len(g)))
+        vals = _block_values(g, d, pi, _block_work(n, len(g)))
         assert vals.shape == (len(g),) and np.isfinite(vals).all()
         for b in range(len(g)):
-            u = householder_unitary(g[b], n)
-            assert np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-14, (n, b)
-            want = dense_pairing(rho, u, pi)
+            v = householder_unitary(g[b], n)
+            assert np.abs(v @ v.conj().T - np.eye(n)).max() <= 1e-14, (n, b)
+            want = dense_pairing(rho, e @ v, pi)
             assert abs(vals[b] - want) <= 2e-15 * np.abs(pi).max(), (n, b)
 
     def test_matches_reference_per_draw(self):
-        """Each value is the dense pairing of the unitary the test-side
-        reflectors build from the same normals. The bound is about twice
-        the worst of 2,300 draws at n = 2..24 against a long-double
-        reference, 9.1e-16 * max|pi|."""
+        """Each value is the dense pairing of e V, for rho's eigenbasis e
+        and the V that the test-side reflectors build from the same
+        normals. The bound is nearly three times the worst of 2,300 draws
+        at n = 2..24 against a long-double reference of e V, 7.0e-16 *
+        max|pi| (5.7e-16 on a second set of 2,300)."""
         rng = np.random.default_rng(11)
         for n in range(2, 25):
             rho = random_density_matrix(rng, n)
@@ -196,7 +198,8 @@ class TestBlockValues:
         """sampled_min allocates its arrays once per block length and
         reuses them: each block's values, over three full blocks and a
         short last one, are byte for byte those of the block's draws
-        computed on fresh arrays of its own length."""
+        computed on fresh arrays of its own length. Each block starts from
+        the squared V that the one before left in the reused arrays."""
         rng = np.random.default_rng(14)
         samples = 3 * _BLOCK + 100
         for n in (*range(2, 17), *LARGE_N):
@@ -204,11 +207,11 @@ class TestBlockValues:
             k = random_kernel(n, int(rng.integers(0, 1 << 30)))
             got = drawn_values(monkeypatch, rho, k, samples, n)
             draws = np.random.Generator(np.random.Philox(n))
-            d, e = block_args(rho)
+            d, _ = block_args(rho)
             want = []
             for count in [_BLOCK] * 3 + [100]:
                 g = normals(draws, count, n)
-                want.append(_block_values(g, d, e, k.as_array(), _block_work(n, count)))
+                want.append(_block_values(g, d, k.as_array(), _block_work(n, count)))
             assert got.tobytes() == np.concatenate(want).tobytes(), n
 
     def test_draws_do_not_depend_on_block_size(self, monkeypatch):
@@ -223,6 +226,20 @@ class TestBlockValues:
             halves = drawn_values(monkeypatch, rho, k, 2 * _BLOCK + 7, n)
             monkeypatch.setattr(wigner, "_BLOCK", _BLOCK)
             assert np.abs(whole - halves).max() <= 2e-15 * np.abs(k.as_array()).max(), n
+
+    def test_draws_see_only_the_spectrum(self, monkeypatch):
+        """Each draw V stands for e V, with e rho's eigenbasis, so the
+        values depend on rho only through its spectrum: with one seed, rho
+        and W rho W^H, for a unitary W, give every draw the same value
+        within rounding."""
+        rng = np.random.default_rng(16)
+        for n in (2, 3, 8, 17):
+            rho = random_density_matrix(rng, n)
+            w = haar_unitary(n, rng)
+            k = random_kernel(n, int(rng.integers(0, 1 << 30)))
+            plain = drawn_values(monkeypatch, rho, k, 2 * _BLOCK + 7, n)
+            turned = drawn_values(monkeypatch, w @ rho @ w.conj().T, k, 2 * _BLOCK + 7, n)
+            assert np.abs(plain - turned).max() <= 2e-15 * np.abs(k.as_array()).max(), n
 
 
 class TestWignerFloor:
