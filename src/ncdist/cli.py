@@ -289,8 +289,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        # numpy's Philox, which every seed feeds, rejects a negative one
-        # without naming the option
+        # a negative seed is rejected by numpy's Philox (random_kernel) and
+        # SeedSequence (sampled_min), without naming the option
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

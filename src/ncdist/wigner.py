@@ -4,12 +4,15 @@ classicality predicate and a Monte-Carlo sampling oracle for the floor.
 The oracle draws Haar unitaries by the subgroup algorithm of Stewart
 (1980) and Mezzadri (2007), U = H_0 diag(1, H_1) diag(1, 1, H_2) ..., with
 H_k the Householder reflector taking e_1 to a normalized complex Gaussian
-vector of length n - k up to phase: n(n+1)/2 - 1 normals per draw, not
-QR's n^2. A value needs each column u_k only through u_k^H rho u_k. With
-e diag(d) e^H rho's Hermitian part and V such a product, U = e V is Haar
-as V is, and u_k^H rho u_k = sum_j d_j |V_jk|^2. So `_block_values` builds
-the V of a whole block of draws at a time, from the identity, and reads
-rho only through its spectrum d."""
+vector of length n - k, turned so that its first entry is real and
+non-negative. Before the normalization, that entry's square is twice a
+standard exponential, so a draw takes n(n-1)/2 complex normals and n - 1
+exponentials, not QR's n^2 complex normals. A value needs each column u_k
+only through u_k^H rho u_k. With e diag(d) e^H rho's Hermitian part and V
+such a product, U = e V is Haar as V is, and u_k^H rho u_k =
+sum_j d_j |V_jk|^2. So `_block_values` builds the V of a whole block of
+draws at a time, from the identity, and reads rho only through its
+spectrum d."""
 
 from __future__ import annotations
 
@@ -25,72 +28,78 @@ from .kernel import KernelSpectrum
 CLASSICAL_TOL = 1e-12
 
 _IMAG_TOL = 1e-10
-#: Haar draws per Gaussian call, and the draws each numpy call of a block
-#: serves; the block's V holds n x n x _BLOCK entries. Per sample on one
-#: CPU, medians of 8 alternating runs, blocks of 512, 1024 and 2048 took
-#: 0.43, 0.34 and 0.33 us at n = 3, 2.9, 2.7 and 2.5 us at n = 8, and 39,
-#: 37 and 39 us at n = 24; 2048 would double the work arrays
+#: Haar draws per variate call on each stream, and the draws each numpy
+#: call of a block serves; the block's V holds n x n x _BLOCK entries. Per
+#: sample on one CPU of a 2-vCPU VM, medians of 8 alternating runs, blocks
+#: of 512, 1024 and 2048 took 0.29, 0.23 and 0.20 us at n = 3, 2.0, 1.9
+#: and 1.9 us at n = 8, and 30, 27 and 30 us at n = 24; 2048 would double
+#: the work arrays
 _BLOCK = 1024
 
 
 def _block_work(n, count):
     """The work arrays of `_block_values` for blocks of `count` draws at
-    dimension n. `sampled_min` makes one set for its full blocks and one
-    for a short last block, rather than slicing the longer set: rounding
-    can depend on where a value falls in a vectorized loop."""
+    dimension n (the variates sit in `sampled_min`'s own buffers).
+    `sampled_min` makes one set for its full blocks and one for a short
+    last block, rather than slicing the longer set: rounding can depend
+    on where a value falls in a vectorized loop."""
     import numpy as np
 
     return (
         np.empty((n, n, count), complex),  # v
         np.empty((n, count), complex),  # x
         np.empty((n, count), complex),  # xc
-        np.empty((n, count), complex),  # s
-        np.empty((n, count), complex),  # tmp
+        np.empty((n - 1, count), complex),  # s
+        np.empty((n - 1, count), complex),  # tmp
         np.empty(2 * count),  # sums
         np.empty(count),  # norm
         np.empty(count),  # lead
-        np.empty(count, complex),  # phase
     )
 
 
-def _block_values(g, d, pi, work):
+def _block_values(g, ex, d, pi, work):
     """Wigner values sum_jk d_j pi_k |V_jk|^2 of a block of Haar draws V,
     for a state whose Hermitian part has the spectrum d, in the arrays
     `work` made by `_block_work(n, count)`. They are the values of the
     Haar draws e V for any eigenbasis e of that part.
 
-    g, of shape (count, n(n+1)/2 - 1, 2), holds each draw's complex normals:
-    n for the first reflector, n - 1 for the next, down to 2. Step k takes
-    the next n - k normals, normalized and turned by a phase so that the
-    first is real and non-negative (phase 1 when it is 0), as x, and
-    H_k = I - w w^H / (1 + x_0) with w = e_1 + x. V = H_0 diag(1, H_1) ...
-    is built from the right, from the last step to the first: before step
-    k the trailing (n - k) x (n - k) block of `v` is diag(1, B), and
+    g, of shape (count, n(n-1)/2, 2), holds each draw's complex normals:
+    n - 1 for the first reflector, n - 2 for the next, down to 1, and ex,
+    of shape (count, n - 1), one standard exponential E per reflector.
+    Step k normalizes (sqrt(2 E), z_1, ..., z_{n-k-1}), with its normals
+    as the z_j, to x: a complex Gaussian vector turned so that its first
+    entry z_0 is real and non-negative, as |z_0|^2 = 2 E and the turned
+    z_j are again independent complex normals. H_k = I - w w^H / (1 + x_0)
+    with w = e_1 + x. V = H_0 diag(1, H_1) ... is built from the right,
+    from the last step to the first: before step k the trailing
+    (n - k) x (n - k) block of `v` is diag(1, B), and
     H_k diag(1, B) has first column -x; with t = x_{1..}^H B, the rest of
     its first row is -t and the block below that row B - x_{1..} t /
     (1 + x_0). Then `v` is squared in place. Past the copy of each step's
-    normals, every operation runs on contiguous rows of `count` entries,
+    variates, every operation runs on contiguous rows of `count` entries,
     and the values are real."""
     import numpy as np
 
-    v, x, xc, s, tmp, sums, norm, lead, phase = work
+    v, x, xc, s, tmp, sums, norm, lead = work
     n = len(d)
-    steps = np.split(g.view(complex)[..., 0], np.cumsum(range(n, 2, -1)), axis=1)
+    steps = np.split(g.view(complex)[..., 0], np.cumsum(range(n - 1, 1, -1)), axis=1)
     v[n - 1, n - 1] = 1.0
     for k in range(n - 2, -1, -1):
         r = n - k
         c, xk, xck, sk, tk = v[k:, k:], x[:r], xc[:r], s[: r - 1], tmp[: r - 1]
-        np.copyto(xk, steps[k].T)
-        sq = tmp[:r].view(float)
-        np.square(xk.view(float), out=sq)
+        np.copyto(xk[1:], steps[k].T)
+        sq = tk.view(float)
+        np.square(xk[1:].view(float), out=sq)
         np.sum(sq, axis=0, out=sums)
-        np.sqrt(np.add(sums[0::2], sums[1::2], out=norm), out=norm)
-        np.abs(xk[0], out=lead)
-        phase.fill(1.0)
-        np.divide(xk[0].conj(), lead, out=phase, where=lead > 0.0)
-        phase /= norm
-        xk *= phase
-        np.conjugate(xk, out=xck)
+        np.multiply(ex[:, k], 2.0, out=lead)
+        np.add(sums[0::2], sums[1::2], out=norm)
+        norm += lead
+        np.sqrt(norm, out=norm)
+        np.copyto(xk[0], np.sqrt(lead, out=lead))
+        # as real parts, each correctly rounded; complex division is not
+        xf = xk.view(float).reshape(r, -1, 2)
+        np.divide(xf, norm[:, None], out=xf)
+        np.conjugate(xk[1:], out=xck[1:])
         np.negative(xk, out=c[:, 0])
         np.multiply(c[1, 1:], xck[1], out=sk)
         for i in range(2, r):
@@ -168,6 +177,13 @@ def haar_unitary(n: int, rng: Any) -> Any:
     return q * (d / np.abs(d))
 
 
+def _streams(seed):
+    """`sampled_min`'s two SFC64 streams for a seed: normals, exponentials."""
+    import numpy as np
+
+    return [np.random.Generator(np.random.SFC64(s)) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
 def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     """Monte-Carlo floor: minimum Wigner value over Haar-random phase-space
     points and the eigenbasis unitary.
@@ -176,13 +192,14 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     unitary undercuts, so the analytic floor is reached regardless of the
     sample budget. Deterministic per seed. The state must be Hermitian
     within _IMAG_TOL elementwise; a NaN fails that test. Each block of
-    `_BLOCK` draws takes its normals from one Gaussian call, so the draws
-    do not depend on the block size, though the values can move by rounding
-    with it. Each draw V stands for the unitary e V, with e the
-    eigenbasis of rho's Hermitian part, which is Haar as V is; so
-    `_block_values` evaluates every block from that part's spectrum alone,
-    in arrays allocated once for the full blocks and once for a short last
-    block.
+    `_BLOCK` draws takes its n(n-1)/2 complex normals and n - 1
+    exponentials per draw from one call each on two SFC64 streams of the
+    seed (`_streams`), so the draws do not depend on the block size,
+    though the values can move by rounding with it. Each draw V stands for
+    the unitary e V, with e the eigenbasis of rho's Hermitian part, which
+    is Haar as V is; so `_block_values` evaluates every block from that
+    part's spectrum alone, in arrays allocated once for the full blocks
+    and once for a short last block.
     """
     import numpy as np
 
@@ -202,16 +219,18 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
     d, e = np.linalg.eigh((rho_arr + rho_arr.conj().T) / 2.0)
     best = wigner_value(rho_arr, e, kernel)
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    gauss = work = None
+    normal, expo = _streams(seed)
+    gauss = ex = work = None
     for start in range(0, samples, _BLOCK):
         count = min(_BLOCK, samples - start)
         if gauss is None or len(gauss) != count:
             # the first block, or a short last one: the full blocks' arrays
             # are freed before the short block's are made
-            gauss = work = None
-            gauss = np.empty((count, n * (n + 1) // 2 - 1, 2))
+            gauss = ex = work = None
+            gauss = np.empty((count, n * (n - 1) // 2, 2))
+            ex = np.empty((count, n - 1))
             work = _block_work(n, count)
-        rng.standard_normal(out=gauss)
-        best = min(best, float(_block_values(gauss, d, pi, work).min()))
+        normal.standard_normal(out=gauss)
+        expo.standard_exponential(out=ex)
+        best = min(best, float(_block_values(gauss, ex, d, pi, work).min()))
     return best

@@ -5,8 +5,8 @@ the assertion carries the same condition so a failure is also red.
 """
 
 import math
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ncdist.cli import main as cli_main
 
 SQRT3 = math.sqrt(3.0)
 ZETA_MAX = math.pi / 3.0
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -194,10 +194,10 @@ def test_criterion_7_figure_reproduction(tmp_path):
         code = cli_main(
             ["scan", "--zeta", zeta_arg, "--resolution", "200", "--output", str(out)]
         )
-        golden = open(os.path.join(GOLDEN_DIR, golden_name), "rb").read()
+        golden = (GOLDEN_DIR / golden_name).read_bytes()
         bytes_ok = bytes_ok and code == 0 and out.read_bytes() == golden
 
-    rows = open(os.path.join(GOLDEN_DIR, "scan_zeta_0.csv")).read().splitlines()[1:]
+    rows = (GOLDEN_DIR / "scan_zeta_0.csv").read_text().splitlines()[1:]
     no_aqt = all(row.split(",")[2] != "AQT" for row in rows)
 
     poly = positivity_polytope(qutrit_kernel(0.0))

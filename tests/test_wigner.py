@@ -119,20 +119,20 @@ def drawn_values(monkeypatch, rho, kernel, samples, seed):
     return np.concatenate(blocks)
 
 
-def householder_unitary(g, n):
+def householder_unitary(g, ex, n):
     """Test-side reference for one draw: the product V = H_0 diag(1, H_1)
-    ... of the draw's normals g, of shape (n(n+1)/2 - 1, 2), built from
-    dense n x n reflectors; the draw stands for e V. Step k normalizes
-    the next n - k complex normals to x and turns x by a phase so that x_0
-    is real and non-negative (no turn when x_0 = 0);
-    H_k = I - w w^H / (1 + x_0) with w = e_1 + x."""
+    ... of the draw's complex normals g, of shape (n(n-1)/2, 2), and
+    exponentials ex, of length n - 1, built from dense n x n reflectors;
+    the draw stands for e V. Step k normalizes
+    x = (sqrt(2 E_k), z_1, ..., z_{n-k-1}) / |.|, with the next n - k - 1
+    complex normals as the z_j; H_k = I - w w^H / (1 + x_0) with
+    w = e_1 + x."""
     z = g[:, 0] + 1j * g[:, 1]
     u, start = np.eye(n, dtype=complex), 0
     for k in range(n - 1):
-        x = z[start : start + n - k] / np.linalg.norm(z[start : start + n - k])
-        start += n - k
-        if x[0] != 0:
-            x = x * (abs(x[0]) / x[0])
+        x = np.concatenate(([math.sqrt(2.0 * ex[k])], z[start : start + n - k - 1]))
+        x /= np.linalg.norm(x)
+        start += n - k - 1
         w = x.copy()
         w[0] += 1.0
         h = np.eye(n, dtype=complex)
@@ -148,23 +148,25 @@ def block_args(rho):
     return np.linalg.eigh((rho + rho.conj().T) / 2.0)
 
 
-def normals(rng, count, n):
-    """One block's normals, in the shape `_block_values` reads."""
-    return rng.standard_normal((count, n * (n + 1) // 2 - 1, 2))
+def variates(normal, expo, count, n):
+    """One block's variates, in the shapes `_block_values` reads: complex
+    normals from the generator `normal` and exponentials from `expo`."""
+    g = normal.standard_normal((count, n * (n - 1) // 2, 2))
+    return g, expo.standard_exponential((count, n - 1))
 
 
 class TestBlockValues:
     """sampled_min's one block evaluator, which computes the Wigner values
-    from the normals and rho's spectrum by building each draw's product of
+    from the variates and rho's spectrum by building each draw's product of
     Householder reflectors from the identity."""
 
-    def check_against_reference(self, g, rho, pi):
+    def check_against_reference(self, g, ex, rho, pi):
         n = len(pi)
         d, e = block_args(rho)
-        vals = _block_values(g, d, pi, _block_work(n, len(g)))
+        vals = _block_values(g, ex, d, pi, _block_work(n, len(g)))
         assert vals.shape == (len(g),) and np.isfinite(vals).all()
         for b in range(len(g)):
-            v = householder_unitary(g[b], n)
+            v = householder_unitary(g[b], ex[b], n)
             assert np.abs(v @ v.conj().T - np.eye(n)).max() <= 1e-14, (n, b)
             want = dense_pairing(rho, e @ v, pi)
             assert abs(vals[b] - want) <= 2e-15 * np.abs(pi).max(), (n, b)
@@ -172,27 +174,37 @@ class TestBlockValues:
     def test_matches_reference_per_draw(self):
         """Each value is the dense pairing of e V, for rho's eigenbasis e
         and the V that the test-side reflectors build from the same
-        normals. The bound is nearly three times the worst of 2,300 draws
-        at n = 2..24 against a long-double reference of e V, 7.0e-16 *
-        max|pi| (5.7e-16 on a second set of 2,300)."""
+        variates. The bound is more than three times the worst of 2,300
+        draws at n = 2..24 against a long-double reference of e V,
+        5.5e-16 * max|pi| (4.0e-16 on a second set of 2,300)."""
         rng = np.random.default_rng(11)
         for n in range(2, 25):
             rho = random_density_matrix(rng, n)
             pi = random_kernel(n, int(rng.integers(0, 1 << 30))).as_array()
-            self.check_against_reference(normals(rng, 6, n), rho, pi)
+            self.check_against_reference(*variates(rng, rng, 6, n), rho, pi)
 
-    def test_zero_leading_entry(self):
-        """A reflector whose first normal is exactly 0 + 0i takes phase 1:
-        the values stay finite and match the reference, at every step."""
+    def test_zero_lead_and_zero_entries(self):
+        """An exponential of exactly 0 gives a reflector with x_0 = 0, and
+        a complex normal of exactly 0 + 0i an x_j = 0. At every step k,
+        one draw has E_k = 0, one the step's first normal 0, one its last,
+        and one both E_k and the first normal 0 where the step has another
+        normal, so that no step's vector is 0. The values stay finite and
+        match the reference."""
         rng = np.random.default_rng(12)
         for n in (2, 3, 5, 8):
-            g = normals(rng, 4 * (n - 1), n)
-            starts = np.cumsum([0, *range(n, 2, -1)])
+            g, ex = variates(rng, rng, 4 * (n - 1), n)
+            starts = np.cumsum([0, *range(n - 1, 0, -1)])
             for b in range(len(g)):
-                g[b, starts[b % (n - 1)]] = 0.0
+                k, turn = b % (n - 1), b // (n - 1)
+                if turn in (0, 3):
+                    ex[b, k] = 0.0
+                if turn == 1 or turn == 3 and n - k > 2:
+                    g[b, starts[k]] = 0.0
+                if turn == 2:
+                    g[b, starts[k + 1] - 1] = 0.0
             rho = random_density_matrix(rng, n)
             pi = random_kernel(n, int(rng.integers(0, 1 << 30))).as_array()
-            self.check_against_reference(g, rho, pi)
+            self.check_against_reference(g, ex, rho, pi)
 
     def test_reused_buffers_match_fresh_ones(self, monkeypatch):
         """sampled_min allocates its arrays once per block length and
@@ -206,16 +218,16 @@ class TestBlockValues:
             rho = random_density_matrix(rng, n)
             k = random_kernel(n, int(rng.integers(0, 1 << 30)))
             got = drawn_values(monkeypatch, rho, k, samples, n)
-            draws = np.random.Generator(np.random.Philox(n))
+            normal, expo = wigner._streams(n)
             d, _ = block_args(rho)
             want = []
             for count in [_BLOCK] * 3 + [100]:
-                g = normals(draws, count, n)
-                want.append(_block_values(g, d, k.as_array(), _block_work(n, count)))
+                g, ex = variates(normal, expo, count, n)
+                want.append(_block_values(g, ex, d, k.as_array(), _block_work(n, count)))
             assert got.tobytes() == np.concatenate(want).tobytes(), n
 
     def test_draws_do_not_depend_on_block_size(self, monkeypatch):
-        """Halving `_BLOCK` splits each Gaussian call in two, but the draws
+        """Halving `_BLOCK` splits each variate call in two, but the draws
         and so the values are the same, within rounding."""
         rng = np.random.default_rng(15)
         for n in (2, 3, 8, 17):
@@ -406,3 +418,28 @@ def test_draws_have_haar_moments(n, monkeypatch):
     second = (t1**2 * s1**2 + t2 * s2) / (n * n - 1) - (t1**2 * s2 + t2 * s1**2) / (n * (n * n - 1))
     for got, want, sd in ((w.mean(), mean, w.std()), ((w * w).mean(), second, (w * w).std())):
         assert abs(got - want) <= 5 * sd / math.sqrt(len(w)), (n, got, want)
+
+
+@pytest.mark.parametrize(
+    "n, entries",
+    [
+        (3, list(itertools.product(range(3), repeat=2))),
+        (8, [(0, k) for k in range(8)] + [(j, 0) for j in range(1, 8)]),
+    ],
+    ids=("3", "8"),
+)
+def test_draw_entries_have_haar_moments(n, entries):
+    """With d = e_j and pi = e_k, `_block_values` returns |V_jk|^2 for
+    each draw. For Haar V that is Beta(1, n - 1), with mean 1/n and
+    E|V_jk|^4 = 2 / (n (n + 1)). Over 10^4 draws of sampled_min's own
+    streams, both match within five standard errors, for all nine entries
+    at n = 3 and the first row and column at n = 8."""
+    count = 10_000
+    normal, expo = wigner._streams(70 + n)
+    g, ex = variates(normal, expo, count, n)
+    work, unit = _block_work(n, count), np.eye(n)
+    for j, k in entries:
+        p = _block_values(g, ex, unit[j], unit[k], work)
+        moments = ((p.mean(), 1 / n, p.std()), ((p * p).mean(), 2 / (n * (n + 1)), (p * p).std()))
+        for got, want, sd in moments:
+            assert abs(got - want) <= 5 * sd / math.sqrt(count), (n, j, k, got, want)
