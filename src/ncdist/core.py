@@ -14,10 +14,19 @@ SQRT3 = math.sqrt(3.0)
 
 #: tolerance for algebraic identities on stored values
 VALUE_TOL = 1e-12
-#: tolerance granted to eigensolver output
+#: tolerance granted to eigensolver output, such as a trace summed from it
 EIG_TOL = 1e-10
 #: admission tolerance for chamber membership of chart points
 CHAMBER_TOL = 1e-12
+#: admission bound on a matrix's Hermitian defect max|m - m^H|; valid
+#: states U diag(r) U^H made in floats read at most 2.2e-16 at n = 2..64
+HERMITIAN_TOL = 1e-12
+
+
+def _require_dimension(n: int, noun: str = "dimension") -> None:
+    """The one dimension rule, n >= 2; the message names `noun`."""
+    if n < 2:
+        raise DimensionMismatch(f"{noun} must be at least 2")
 
 
 class Frozen:
@@ -84,8 +93,7 @@ class Spectrum(Frozen):
 
     def __init__(self, values: tuple[float, ...]):
         vals = tuple(sorted(map(float, values), reverse=True))
-        if len(vals) < 2:
-            raise DimensionMismatch("spectrum dimension must be at least 2")
+        _require_dimension(len(vals), "spectrum dimension")
         if not all(map(math.isfinite, vals)):
             raise NotAState(f"eigenvalues must be finite: {vals}")
         if vals[0] > 1.0 + VALUE_TOL or vals[-1] < -VALUE_TOL:
@@ -172,8 +180,7 @@ class MetricConvention(Enum):
 
 def conversion_factor(n: int) -> float:
     """Scale between the conventions: d_paper = factor * d_frobenius."""
-    if n < 2:
-        raise DimensionMismatch("dimension must be at least 2")
+    _require_dimension(n)
     return math.sqrt(n / (n - 1.0))
 
 
@@ -194,30 +201,37 @@ def metric_convert(
     return float(d) / factor
 
 
-def spectrum_from_matrix(m) -> Spectrum:
-    """Eigenvalues of a density matrix, sorted non-increasing.
-
-    The input must be finite, Hermitian within 1e-12 elementwise, have unit
-    trace within 1e-10 and be positive semidefinite within 1e-10. Tiny
-    negative eigenvalues are clipped at zero and the vector renormalized;
-    both adjustments stay inside the admission tolerances.
-    """
+def _require_hermitian(m) -> Any:
+    """`m` as a complex numpy array, if square with n >= 2 (DimensionMismatch),
+    finite (NotAState) and Hermitian within HERMITIAN_TOL (NonHermitian)."""
     import numpy as np
 
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DimensionMismatch("dimension must be at least 2")
-    # NaN fails every comparison, so it would pass the Hermitian check below
+    _require_dimension(arr.shape[0])
     if not np.isfinite(arr).all():
         raise NotAState("matrix entries must be finite")
     defect = float(np.max(np.abs(arr - arr.conj().T)))
-    if defect > 1e-12:
+    if defect > HERMITIAN_TOL:
         raise NonHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
+    return arr
+
+
+def spectrum_from_matrix(m) -> Spectrum:
+    """Eigenvalues of a density matrix, sorted non-increasing.
+
+    The input must pass :func:`_require_hermitian`, have unit trace and be
+    positive semidefinite, both within EIG_TOL. Tiny negative eigenvalues
+    are clipped at zero and the vector renormalized; both adjustments stay
+    inside the admission tolerances.
+    """
+    import numpy as np
+
+    arr = _require_hermitian(m)
     eig = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
     trace = float(np.sum(eig))
-    if abs(trace - 1.0) > 1e-10:
+    if abs(trace - 1.0) > EIG_TOL:
         raise NotAState(f"trace is {trace!r}, expected 1")
     if float(eig[0]) < -EIG_TOL:
         raise NotAState(f"negative eigenvalue {float(eig[0])!r}")

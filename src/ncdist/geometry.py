@@ -15,11 +15,11 @@ from .core import (
     MetricConvention,
     QutritChart,
     Spectrum,
+    _require_dimension,
     chart_from_spectrum,
     conversion_factor,
     require_chamber,
 )
-from .errors import DimensionMismatch
 from .kernel import KernelSpectrum, check_zeta
 from .wigner import CLASSICAL_TOL, floor_is_classical
 
@@ -130,8 +130,7 @@ def absolute_radius(n: int, convention: MetricConvention | str) -> float:
     """Radius of the ball around the maximally mixed state whose members are
     classical for every kernel of dimension n; `convention` is a
     MetricConvention member or its value, any other raises ValueError."""
-    if n < 2:
-        raise DimensionMismatch("dimension must be at least 2")
+    _require_dimension(n)
     r = math.sqrt(n + 1.0) / (n * n - 1.0)
     if MetricConvention(convention) is MetricConvention.FROBENIUS:
         return r * math.sqrt((n - 1.0) / n)

@@ -4,9 +4,9 @@ the defining trace conditions, and random sampling of solutions."""
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Sequence
 
-from .core import SQRT3, Frozen
+from .core import SQRT3, Frozen, Spectrum, _require_dimension
 from .errors import DimensionMismatch, MasterEquationViolated, ModuliOutOfRange
 
 ZETA_MAX = math.pi / 3.0
@@ -37,7 +37,7 @@ class KernelSpectrum(Frozen):
 
     def __init__(self, values: tuple[float, ...]):
         vals = tuple(sorted((float(v) for v in values), reverse=True))
-        _require_dimension(len(vals))
+        _require_dimension(len(vals), "kernel dimension")
         if not all(map(math.isfinite, vals)):
             raise MasterEquationViolated(math.nan, math.nan)
         object.__setattr__(self, "values", vals)
@@ -45,26 +45,13 @@ class KernelSpectrum(Frozen):
         if res_trace > TRACE_TOL or res_square > SQUARE_TOL:
             raise MasterEquationViolated(res_trace, res_square)
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> Any:
-        """The values as a float numpy array."""
-        import numpy as np
-
-        return np.array(self.values, dtype=float)
+    n = Spectrum.n
+    as_array = Spectrum.as_array
 
     def residuals(self) -> tuple[float, float]:
         """Absolute residuals of the two trace conditions; a sum that
         overflows on the way reads inf."""
         return _residual(self.values, 1.0), _residual([v * v for v in self.values], self.n)
-
-
-def _require_dimension(n: int) -> None:
-    """Reject a kernel dimension below 2 by name, before any count of values."""
-    if n < 2:
-        raise DimensionMismatch("kernel dimension must be at least 2")
 
 
 def _residual(terms: Sequence[float], target: float) -> float:
@@ -107,7 +94,7 @@ def qutrit_kernel(zeta: float) -> KernelSpectrum:
 
 def kernel_from_spectrum(values: Sequence[float], n: int) -> KernelSpectrum:
     """Validate an externally supplied kernel spectrum of dimension n."""
-    _require_dimension(n)
+    _require_dimension(n, "kernel dimension")
     vals = tuple(float(v) for v in values)
     if len(vals) != n:
         raise DimensionMismatch(f"expected {n} values, got {len(vals)}")
@@ -122,9 +109,10 @@ def random_kernel(n: int, seed: int) -> KernelSpectrum:
     construction. The counter-based Philox generator keeps parallel calls
     with distinct seeds independent.
     """
+    # before numpy's import, which a refused dimension need not pay
+    _require_dimension(n, "kernel dimension")
     import numpy as np
 
-    _require_dimension(n)
     rng = np.random.Generator(np.random.Philox(seed))
     while True:
         g = rng.standard_normal(n)

@@ -20,13 +20,14 @@ import math
 import operator
 from typing import Any
 
-from .core import Spectrum
+from .core import Spectrum, _require_hermitian
 from .errors import DimensionMismatch, NonHermitian
 from .kernel import KernelSpectrum
 
 #: a state counts as classical when its floor is above -CLASSICAL_TOL
 CLASSICAL_TOL = 1e-12
 
+#: bound on the imaginary residue of a computed trace in `wigner_value`
 _IMAG_TOL = 1e-10
 #: Haar draws per variate call on each stream, and the draws each numpy
 #: call of a block serves; the block's V holds n x n x _BLOCK entries. Per
@@ -190,28 +191,25 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
 
     The eigenbasis unitary realizes the opposite-order pairing, which no
     unitary undercuts, so the analytic floor is reached regardless of the
-    sample budget. Deterministic per seed. The state must be Hermitian
-    within _IMAG_TOL elementwise; a NaN fails that test. Each block of
+    sample budget. Deterministic per seed. The state must pass
+    `spectrum_from_matrix`'s matrix rule, `core._require_hermitian`
+    (HERMITIAN_TOL = 1e-12), and match the kernel's n. Each block of
     `_BLOCK` draws takes its n(n-1)/2 complex normals and n - 1
     exponentials per draw from one call each on two SFC64 streams of the
     seed (`_streams`), so the draws do not depend on the block size,
-    though the values can move by rounding with it. Each draw V stands for
-    the unitary e V, with e the eigenbasis of rho's Hermitian part, which
-    is Haar as V is; so `_block_values` evaluates every block from that
-    part's spectrum alone, in arrays allocated once for the full blocks
+    though the values can move by rounding with it. `_block_values`
+    evaluates each block from the spectrum of rho's Hermitian part, as the
+    module docstring derives, in arrays allocated once for the full blocks
     and once for a short last block.
     """
     import numpy as np
 
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rho_arr = np.asarray(rho, dtype=complex)
+    rho_arr = _require_hermitian(rho)
     n = kernel.n
     if rho_arr.shape != (n, n):
         raise DimensionMismatch(f"state {rho_arr.shape} vs kernel n={n}")
-    defect = float(np.abs(rho_arr - rho_arr.conj().T).max())
-    if not defect < _IMAG_TOL:
-        raise NonHermitian(f"state deviates from Hermitian by {defect:.3e}")
     pi = kernel.as_array()
 
     # eigh orders eigenvalues increasingly, which pairs them against the

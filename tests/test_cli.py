@@ -581,12 +581,31 @@ def test_kernel_past_float_range_exits_two(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["kernel", "polytope"])
 def test_dimension_one_kernel_exits_two(capsys, command):
-    """Every n below 2 names the dimension, not the count of values."""
-    for n in ("1", "0", "-5"):
-        code, out, err = run_cli(capsys, command, "--n", n, "--pi", "1")
-        assert code == 2
-        assert out == ""
-        assert err == "error: kernel dimension must be at least 2\n"
+    """Every n below 2 names the dimension, not the count of values, for an
+    explicit and a random kernel. The random kernel checks n before numpy
+    loads, so the refusal leaves numpy unloaded; that runs in a child
+    process, because the test suite itself imports numpy."""
+    for source in (["--pi", "1"], ["--seed", "3"]):
+        for n in ("1", "0", "-5"):
+            code, out, err = run_cli(capsys, command, "--n", n, *source)
+            assert code == 2
+            assert out == ""
+            assert err == "error: kernel dimension must be at least 2\n"
+    argv = [command, "--n", "1", "--seed", "3"]
+    script = (
+        "import sys\n"
+        "from ncdist.cli import main\n"
+        f"print(main({argv!r}), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.stdout == "2 False\n"
+    assert proc.stderr == "error: kernel dimension must be at least 2\n"
 
 
 @pytest.mark.parametrize("command", ["kernel", "polytope"])

@@ -12,6 +12,7 @@ from ncdist import (
     IndicatorResult,
     KernelSpectrum,
     MetricConvention,
+    NcdistError,
     NonHermitian,
     NotAState,
     OutOfChamber,
@@ -28,6 +29,7 @@ from ncdist import (
     qutrit_distance,
     qutrit_kernel,
     random_kernel,
+    sampled_min,
     spectrum_from_chart,
     spectrum_from_matrix,
 )
@@ -114,6 +116,40 @@ class TestSpectrumFromMatrix:
     def test_rejects_one_by_one(self):
         with pytest.raises(DimensionMismatch):
             spectrum_from_matrix(np.ones((1, 1)))
+
+
+def refusal(f, *args):
+    """The class of the package error `f(*args)` raises, or None."""
+    try:
+        f(*args)
+    except NcdistError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    ("entry", "expected"),
+    [
+        (0.0, None),
+        (1e-13, None),
+        (1e-12, None),
+        (5e-11, NonHermitian),
+        (1e-9, NonHermitian),
+        (math.nan, NotAState),
+        (math.inf, NotAState),
+        (-math.inf, NotAState),
+    ],
+)
+def test_one_matrix_rule(entry, expected):
+    """`spectrum_from_matrix` and `sampled_min` admit a matrix by one rule:
+    on diag(0.5, 0.3, 0.2) with rho_01 set to `entry`, a Hermitian defect
+    of that size or a non-finite entry, both accept and refuse the same
+    matrices, with the same error. A defect of exactly HERMITIAN_TOL =
+    1e-12 is admitted."""
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    m[0, 1] = entry
+    assert refusal(spectrum_from_matrix, m) is expected
+    assert refusal(sampled_min, m, qutrit_kernel(0.3), 100, 0) is expected
 
 
 class TestChart:

@@ -8,6 +8,7 @@ from conftest import random_chamber_chart, random_density_matrix, random_spectru
 from ncdist import (
     DimensionMismatch,
     NonHermitian,
+    NotAState,
     Spectrum,
     chart_from_spectrum,
     haar_unitary,
@@ -382,17 +383,35 @@ class TestSampledMin:
         with pytest.raises(DimensionMismatch):
             sampled_min(np.ones(shape) / shape[0], qutrit_kernel(0.1), 10, 0)
 
-    @pytest.mark.parametrize("defect", [1e-9, 1.0, math.nan])
+    @pytest.mark.parametrize("defect", [1e-9, 1.0])
     def test_rejects_non_hermitian_state(self, defect):
-        """The state itself must be Hermitian within _IMAG_TOL; a NaN
-        entry fails the test too."""
+        """The state itself must be Hermitian within HERMITIAN_TOL."""
         rho = np.eye(3, dtype=complex) / 3
         rho[0, 1] += defect
         with pytest.raises(NonHermitian):
             sampled_min(rho, qutrit_kernel(0.1), 10, 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_state(self, value):
+        """A NaN or infinite entry is not a state, before any Hermitian
+        test, which NaN would pass."""
+        rho = np.eye(3, dtype=complex) / 3
+        rho[0, 1] = value
+        with pytest.raises(NotAState, match="^matrix entries must be finite$"):
+            sampled_min(rho, qutrit_kernel(0.1), 10, 0)
+
+    def test_rejects_defect_above_hermitian_tol(self):
+        """A defect of 5e-11 lies above HERMITIAN_TOL = 1e-12, so the sampler
+        refuses the state, as `spectrum_from_matrix` does. A bound of 1e-10
+        would admit it, and the sampler would read -0.01924."""
+        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        rho[0, 1] = 5e-11
+        with pytest.raises(NonHermitian):
+            sampled_min(rho, qutrit_kernel(0.3), 1000, 0)
+
     def test_admits_rounding_asymmetry(self):
-        """An asymmetry well inside _IMAG_TOL is rounding, not a defect."""
+        """An asymmetry of exactly 1e-12 is rounding, not a defect: it sits
+        on HERMITIAN_TOL itself, which the strict `>` of the rule admits."""
         rho = np.eye(3, dtype=complex) / 3
         rho[0, 1] += 1e-12
         assert sampled_min(rho, qutrit_kernel(0.1), 10, 0) == pytest.approx(1 / 3, abs=1e-11)
