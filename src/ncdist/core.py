@@ -29,6 +29,12 @@ def _require_dimension(n: int, noun: str = "dimension") -> None:
         raise DimensionMismatch(f"{noun} must be at least 2")
 
 
+def _require_pairing(shape: tuple[int, ...], n: int, ndim: int = 1) -> None:
+    """The one state-kernel rule: `shape` has `ndim` axes, each the kernel's n."""
+    if shape != (n,) * ndim:
+        raise DimensionMismatch(f"shape {shape} does not pair with kernel n={n}")
+
+
 class Frozen:
     """Base of the immutable value types: fields are the `_fields` of the
     subclass, its `__slots__` unless it names them apart, set once by its

@@ -24,6 +24,7 @@ from .core import (
     QutritChart,
     Spectrum,
     _admitted_spectrum,
+    _require_pairing,
     conversion_factor,
     require_chamber,
     spectrum_from_chart,
@@ -162,7 +163,8 @@ def project_simplex(values: Sequence[float]) -> list[float]:
 
 
 def project_halfspace(values: Sequence[float], normal: Sequence[float]) -> list[float]:
-    """Euclidean projection onto {x : normal . x >= 0} (rank-one update)."""
+    """Euclidean projection onto {x : normal . x >= 0}; `core._require_pairing` admits the pair."""
+    _require_pairing((len(values),), len(normal))
     s = math.fsum(v * a for v, a in zip(values, normal))
     if s >= 0.0:
         return [float(v) for v in values]
@@ -415,13 +417,12 @@ def bruteforce_project(r: Spectrum, kernel: KernelSpectrum) -> Spectrum:
     the projection. In `mask`, bit j of 0 < j < n ends a block after entry
     j, bit 0 holds the last block at 0 and bit n frees the halfspace, so
     the candidates with the halfspace tight, where nonclassical states
-    project to, come first.
+    project to, come first. r must pair with the kernel by `core._require_pairing`.
     """
     from fractions import Fraction
 
     n = r.n
-    if kernel.n != n:
-        raise DimensionMismatch(f"spectrum n={n} vs kernel n={kernel.n}")
+    _require_pairing((n,), kernel.n)
     if n > 8:
         raise DimensionMismatch("the exhaustive projector supports n <= 8")
     r_q = [Fraction(v) for v in r.values]

@@ -20,8 +20,8 @@ import math
 import operator
 from typing import Any
 
-from .core import Spectrum, _require_hermitian
-from .errors import DimensionMismatch, NonHermitian
+from .core import Spectrum, _require_hermitian, _require_pairing
+from .errors import NonHermitian
 from .kernel import KernelSpectrum
 
 #: a state counts as classical when its floor is above -CLASSICAL_TOL
@@ -118,17 +118,14 @@ def _block_values(g, ex, d, pi, work):
 
 
 def wigner_value(rho, u, kernel: KernelSpectrum) -> float:
-    """Wigner value tr[rho U diag(pi) U^H] at the phase-space point
-    represented by the unitary U."""
+    """Wigner value tr[rho U diag(pi) U^H] at the phase-space point of the
+    unitary U; rho and U pair with the kernel by `core._require_pairing`."""
     import numpy as np
 
     rho_arr = np.asarray(rho, dtype=complex)
     u_arr = np.asarray(u, dtype=complex)
-    n = kernel.n
-    if rho_arr.shape != (n, n) or u_arr.shape != (n, n):
-        raise DimensionMismatch(
-            f"state {rho_arr.shape}, unitary {u_arr.shape} and kernel n={n} disagree"
-        )
+    _require_pairing(rho_arr.shape, kernel.n, 2)
+    _require_pairing(u_arr.shape, kernel.n, 2)
     delta = (u_arr * kernel.as_array()) @ u_arr.conj().T
     val = np.trace(rho_arr @ delta)
     # a NaN residue fails this test too
@@ -149,8 +146,7 @@ def wigner_floor(r: Spectrum, kernel: KernelSpectrum) -> float:
     0.17214511922796888) at zeta 0.6545984418925018 reads -1.0000750e-12,
     where the exact pairing of those floats is -1.0000777e-12.
     """
-    if len(r.values) != len(kernel.values):
-        raise DimensionMismatch(f"spectrum n={r.n} vs kernel n={kernel.n}")
+    _require_pairing((len(r.values),), len(kernel.values))
     return math.fsum(map(operator.mul, r.values, reversed(kernel.values)))
 
 
@@ -191,16 +187,16 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
 
     The eigenbasis unitary realizes the opposite-order pairing, which no
     unitary undercuts, so the analytic floor is reached regardless of the
-    sample budget. Deterministic per seed. The state must pass
-    `spectrum_from_matrix`'s matrix rule, `core._require_hermitian`
-    (HERMITIAN_TOL = 1e-12), and match the kernel's n. Each block of
-    `_BLOCK` draws takes its n(n-1)/2 complex normals and n - 1
-    exponentials per draw from one call each on two SFC64 streams of the
-    seed (`_streams`), so the draws do not depend on the block size,
-    though the values can move by rounding with it. `_block_values`
-    evaluates each block from the spectrum of rho's Hermitian part, as the
-    module docstring derives, in arrays allocated once for the full blocks
-    and once for a short last block.
+    sample budget. Deterministic per seed. The state must pass the matrix
+    rule `core._require_hermitian` (HERMITIAN_TOL = 1e-12), then the
+    pairing rule `core._require_pairing`, which `wigner_value` checks
+    before any draw. Each block of `_BLOCK` draws takes its n(n-1)/2
+    complex normals and n - 1 exponentials per draw from one call each on
+    two SFC64 streams of the seed (`_streams`), so the draws do not depend
+    on the block size, though the values can move by rounding with it.
+    `_block_values` evaluates each block from the spectrum of rho's
+    Hermitian part, as the module docstring derives, in arrays allocated
+    once for the full blocks and once for a short last block.
     """
     import numpy as np
 
@@ -208,8 +204,6 @@ def sampled_min(rho, kernel: KernelSpectrum, samples: int, seed: int) -> float:
         raise ValueError("samples must be at least 1")
     rho_arr = _require_hermitian(rho)
     n = kernel.n
-    if rho_arr.shape != (n, n):
-        raise DimensionMismatch(f"state {rho_arr.shape} vs kernel n={n}")
     pi = kernel.as_array()
 
     # eigh orders eigenvalues increasingly, which pairs them against the

@@ -1,7 +1,8 @@
-"""Names the benchmark harness in perfbench/ looks up in the package,
-validation that does not rest on `assert` (stripped under `python -O`),
-numpy and fractions imported only inside the functions that use them,
-dataclasses not imported at all, and type hints that resolve without them.
+"""Names the benchmark harness in perfbench/ looks up in the package, the
+CI job's copy of the harness's thread pins, validation that does not rest
+on `assert` (stripped under `python -O`), numpy and fractions imported
+only inside the functions that use them, dataclasses not imported at all,
+and type hints that resolve without them.
 
 The harness files are only read here, never imported or changed.
 """
@@ -10,6 +11,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 import typing
 from pathlib import Path
@@ -21,18 +23,32 @@ import ncdist
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 PACKAGE = ROOT / "src" / "ncdist"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def _harness_constant(file: str, name: str):
+    """The literal value a perfbench module assigns to `name` at top level."""
+    for node in ast.parse((PERFBENCH / file).read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"perfbench/{file} defines no {name}")
 
 
 def _traced_names() -> list[str]:
     """'module.name' entries of the TRACED table in perfbench/tracing.py."""
-    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
-        ):
-            table = ast.literal_eval(node.value)
-            return sorted(f"{module}.{name}" for module, names in table.items() for name in names)
-    raise LookupError("perfbench/tracing.py defines no TRACED table")
+    table = _harness_constant("tracing.py", "TRACED")
+    return sorted(f"{module}.{name}" for module, names in table.items() for name in names)
+
+
+def test_ci_pins_the_harness_thread_vars():
+    """The tier-1 job's `env` block, read as text since PyYAML is not a
+    dependency, sets exactly perfbench/common.py's THREAD_VARS, each to
+    "1", so CI runs the tests on one BLAS thread as the harness runs."""
+    block = re.search(r"^( *)env:\n((?:\1 +\S.*\n)+)", WORKFLOW.read_text(), re.M)
+    env = dict(re.findall(r"^ *(\w+): *(.*?) *$", block.group(2), re.M))
+    assert env == {name: '"1"' for name in _harness_constant("common.py", "THREAD_VARS")}
 
 
 def _dotted(node) -> str | None:

@@ -2,6 +2,7 @@ import copy
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +21,15 @@ from ncdist import (
     QutritChart,
     Region,
     Spectrum,
+    bruteforce_project,
     chart_from_spectrum,
     distance_general,
     haar_unitary,
+    is_classical,
     metric_convert,
     positivity_polytope,
+    project_halfspace,
+    project_to_classical,
     qutrit_anchor_points,
     qutrit_distance,
     qutrit_kernel,
@@ -32,6 +37,8 @@ from ncdist import (
     sampled_min,
     spectrum_from_chart,
     spectrum_from_matrix,
+    wigner_floor,
+    wigner_value,
 )
 from ncdist.core import chamber_mask
 
@@ -150,6 +157,60 @@ def test_one_matrix_rule(entry, expected):
     m[0, 1] = entry
     assert refusal(spectrum_from_matrix, m) is expected
     assert refusal(sampled_min, m, qutrit_kernel(0.3), 100, 0) is expected
+
+
+def pairing_message(shape, n):
+    """The one message of `core._require_pairing`."""
+    return f"shape {shape} does not pair with kernel n={n}"
+
+
+def _pairing_cases():
+    """(entry, its arguments, the message it raises) for every public entry
+    that pairs an operand with a kernel."""
+    qutrit, k4, k3 = Spectrum((0.7, 0.2, 0.1)), random_kernel(4, 0), qutrit_kernel(0.1)
+    rho, wrong = np.eye(3) / 3, pairing_message((3,), 4)
+    cases = [
+        pytest.param(f, (qutrit, k4), wrong, id=f.__name__)
+        for f in (wigner_floor, is_classical, distance_general, project_to_classical)
+    ]
+    cases += [
+        pytest.param(bruteforce_project, (Spectrum((0.5, 0.3, 0.2)), random_kernel(4, 1)), wrong,
+                     id="bruteforce_project"),
+        pytest.param(wigner_value, (rho, np.eye(3), k4), pairing_message((3, 3), 4),
+                     id="wigner_value-state"),
+        pytest.param(wigner_value, (rho, np.eye(4), k3), pairing_message((4, 4), 3),
+                     id="wigner_value-unitary"),
+        pytest.param(wigner_value, ((0.7, 0.2, 0.1), np.eye(3), k3), pairing_message((3,), 3),
+                     id="wigner_value-vector"),
+    ]
+    # a non-square state fails the matrix rule, which sampled_min runs first
+    cases += [
+        pytest.param(sampled_min, (np.ones(shape) / shape[0], k3, 10, 0), message,
+                     id="sampled_min-" + "x".join(map(str, shape)))
+        for shape, message in (
+            ((4, 4), pairing_message((4, 4), 3)),
+            ((2, 2), pairing_message((2, 2), 3)),
+            ((3, 2), "expected a square matrix, got shape (3, 2)"),
+            ((3,), "expected a square matrix, got shape (3,)"),
+        )
+    ]
+    cases += [
+        pytest.param(project_halfspace, (values, (-1.0, 1.0, 1.0)),
+                     pairing_message((len(values),), 3), id=f"project_halfspace-{len(values)}")
+        for values in ((0.7, 0.2, 0.1, 0.5), (0.7, 0.3))
+    ]
+    return cases
+
+
+@pytest.mark.parametrize(("entry", "args", "message"), _pairing_cases())
+def test_one_pairing_rule(entry, args, message):
+    """Every entry that pairs an operand with a kernel refuses one whose
+    axes are not all the kernel's n, with the one message of
+    `core._require_pairing`. A spectrum has one axis and a state or a
+    unitary two, so a vector of n entries does not pair in a matrix's
+    place."""
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        entry(*args)
 
 
 class TestChart:

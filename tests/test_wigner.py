@@ -6,7 +6,6 @@ import pytest
 
 from conftest import random_chamber_chart, random_density_matrix, random_spectrum
 from ncdist import (
-    DimensionMismatch,
     NonHermitian,
     NotAState,
     Spectrum,
@@ -78,10 +77,6 @@ class TestWignerValue:
             assert wigner_value(rho, u, k) == pytest.approx(
                 dense_pairing(rho, u, k.values), abs=1e-12
             )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            wigner_value(np.eye(3) / 3, np.eye(3), random_kernel(4, 0))
 
     def test_nan_residue_is_rejected(self):
         with pytest.raises(NonHermitian):
@@ -377,11 +372,6 @@ class TestSampledMin:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             sampled_min(np.eye(3) / 3, qutrit_kernel(0.1), 0, 0)
-
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 2), (3,)])
-    def test_rejects_state_of_another_shape(self, shape):
-        with pytest.raises(DimensionMismatch):
-            sampled_min(np.ones(shape) / shape[0], qutrit_kernel(0.1), 10, 0)
 
     @pytest.mark.parametrize("defect", [1e-9, 1.0])
     def test_rejects_non_hermitian_state(self, defect):
